@@ -34,7 +34,7 @@ print("pair-coverage histogram:", dict(sorted(hist.items())))
 # empty until the cap reaches the worst coverage.
 worst = max(hist)
 for cap in (4 * profile.mu0, 2, worst - 1, worst):
-    capped = uniform_family(g, k, cap)
+    capped = uniform_family(fam, cap)
     print(f"cap={cap:6.3f}: retained {len(capped):4d}, deleted {capped.deleted:4d},"
           f" excess mass {capped.excess_mass}")
 

@@ -19,7 +19,6 @@ from .analytics import (
     working_k,
 )
 from .adversary import (
-    AdversaryBudget,
     SearchBudgetError,
     bounded_degree_h,
     global_resilience_oracle,
@@ -48,7 +47,6 @@ from .graph import (
     RegimeWarning,
     generate_gnp,
     induced_subgraph,
-    io_roundtrip,
     load_graph,
     parse_dimacs,
     parse_edge_list,

@@ -9,7 +9,6 @@ any n the graph module handles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -22,23 +21,6 @@ from .isets import SizeLimitError
 
 class SearchBudgetError(RuntimeError):
     """The oracle search outgrew its node budget."""
-
-
-@dataclass(frozen=True)
-class AdversaryBudget:
-    """Global budgets count edges in total; local budgets cap per-vertex degree."""
-
-    mode: str
-    m: Optional[int] = None
-    delta: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("global", "local"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "global" and (self.m is None or self.m < 0 or self.delta is not None):
-            raise ValueError("global mode takes a non-negative m only")
-        if self.mode == "local" and (self.delta is None or self.delta < 0 or self.m is not None):
-            raise ValueError("local mode takes a non-negative delta only")
 
 
 def plant_clique(g: Graph, target_vertices: Iterable[int]) -> EdgeSet:

@@ -68,10 +68,9 @@ def _cmd_color(args) -> int:
 
 def _cmd_isets(args) -> int:
     g = load_graph(args.infile)
+    fam = enumerate_isets(g, args.k, args.limit)
     if args.cap is not None:
-        fam = uniform_family(g, args.k, args.cap, args.limit)
-    else:
-        fam = enumerate_isets(g, args.k, args.limit)
+        fam = uniform_family(fam, args.cap)
     print(json.dumps(fam.to_json(), indent=1))
     return 0
 

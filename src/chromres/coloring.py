@@ -16,12 +16,13 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 from .analytics import AnalyticProfile, compute_k0, expected_counts
-from .graph import EdgeSet, Graph, induced_subgraph, union
+from .graph import EdgeSet, Graph, induced_subgraph, mask_of, union
 from .isets import (
     EnumerationLimitError,
     SizeLimitError,
     enumerate_isets,
     max_independent_set,
+    min_degree_vertex,
     sparse_iset,
     turan_extract,
     uniform_family,
@@ -98,24 +99,14 @@ def dsatur(g: Graph) -> Coloring:
 
 def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     """Smallest-last ordering and the degeneracy (max degree at removal)."""
-    n = g.n
-    rows = g.rows
-    alive = (1 << n) - 1
+    alive = (1 << g.n) - 1
     removal: list[int] = []
     degeneracy = 0
     while alive:
-        best_v, best_d = -1, n + 1
-        m = alive
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            m ^= lsb
-            d = (rows[v] & alive).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        degeneracy = max(degeneracy, best_d)
-        removal.append(best_v)
-        alive &= ~(1 << best_v)
+        v, d = min_degree_vertex(g.rows, alive)
+        degeneracy = max(degeneracy, d)
+        removal.append(v)
+        alive &= ~(1 << v)
     return removal, degeneracy
 
 
@@ -320,6 +311,10 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     exceeds family_size_limit, or whose enumeration blows the node budget,
     fall back to the greedy route and are flagged in the trace. The residue
     is colored by degeneracy_color.
+
+    S is held as a bitmask over the original vertex labels and every search
+    runs on that mask of base or of the union, never on a relabelled copy;
+    the residue is the one induced subgraph built per call.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -338,34 +333,32 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     colors: list[int] = [-1] * n
     next_color = 0
-    remaining = list(range(n))
+    remaining = (1 << n) - 1
     k_used = 0
 
-    while len(remaining) > threshold and remaining:
-        s = len(remaining)
-        sub_base, mapping = induced_subgraph(base, remaining)
-        greedy_set = turan_extract(sub_base)
+    while remaining and (s := remaining.bit_count()) > threshold:
+        greedy_set = turan_extract(base, remaining)
         k_target = max(profile.k, compute_k0(s, p, theta) or 1, len(greedy_set))
         k_target = min(k_target, s)
         if k_used == 0:
             k_used = k_target
 
         route = "greedy"
-        chosen_local: tuple[int, ...] = greedy_set
+        chosen: tuple[int, ...] = greedy_set
         planted = 0
         if s <= knobs.family_size_limit:
             fam = None
             k_try = k_target
             while k_try >= 2:
                 try:
-                    cand = enumerate_isets(sub_base, k_try, knobs.enumeration_limit,
-                                           node_budget=knobs.node_budget)
+                    cand = enumerate_isets(base, k_try, knobs.enumeration_limit,
+                                           node_budget=knobs.node_budget, within=remaining)
                 except EnumerationLimitError:
                     flags.append(f"enumeration-budget@s={s}")
                     if s <= knobs.exact_alpha_limit:
                         # the family is out of reach but one maximum set is not
-                        chosen_local = max_independent_set(sub_base,
-                                                           knobs.exact_alpha_limit)
+                        chosen = max_independent_set(base, knobs.exact_alpha_limit,
+                                                     within=remaining)
                         route = "exact-alpha"
                         flags.append(f"exact-alpha-fallback@s={s}")
                     break
@@ -374,43 +367,36 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                     break
                 k_try -= 1
             if fam is not None:
-                inv = {orig: i for i, orig in enumerate(mapping)}
-                added_local = EdgeSet.from_pairs(
-                    (inv[u], inv[v]) for u, v in added.pairs if u in inv and v in inv)
                 route = "enum"
-                if fam.k >= 2:
-                    _, log_mu0 = expected_counts(s, p, fam.k)
-                    cap = knobs.cap_multiplier * math.exp(log_mu0)
-                    capped = uniform_family(sub_base, fam.k, cap, knobs.enumeration_limit)
-                    if capped.sets:
-                        fam = capped
-                        route = "family"
-                chosen_local, planted = sparse_iset(fam, added_local)
+                _, log_mu0 = expected_counts(s, p, fam.k)
+                capped = uniform_family(fam, knobs.cap_multiplier * math.exp(log_mu0))
+                if capped.sets:
+                    fam = capped
+                    route = "family"
+                # the averaging bound counts only the added pairs inside S
+                inside = EdgeSet(frozenset(
+                    (u, v) for u, v in added.pairs if (remaining >> u) & 1 and (remaining >> v) & 1))
+                chosen, planted = sparse_iset(fam, inside)
+        chosen_mask = mask_of(chosen)
         if route == "greedy":
             flags.append(f"greedy-fallback@s={s}")
-        if route in ("greedy", "exact-alpha") and added.pairs:
-            inv = {orig: i for i, orig in enumerate(mapping)}
-            members = set(chosen_local)
+        if route in ("greedy", "exact-alpha"):
             planted = sum(1 for u, v in added.pairs
-                          if inv.get(u) in members and inv.get(v) in members)
+                          if (chosen_mask >> u) & 1 and (chosen_mask >> v) & 1)
 
-        chosen_global = [mapping[v] for v in chosen_local]
         # refine to an independent set of the union graph
-        sub_union, sub_map = induced_subgraph(full, chosen_global)
-        final_local = turan_extract(sub_union)
-        final = [sub_map[v] for v in final_local]
-
+        final = turan_extract(full, chosen_mask)
         for v in final:
             colors[v] = next_color
         next_color += 1
         if i0 > 0:
             buckets[_bucket_index(n, s, i0) - 1] += 1
         rounds.append((s, k_target, route, len(final), planted))
-        remaining = [v for v in remaining if colors[v] < 0]
+        remaining &= ~mask_of(final)
 
     residual_colors = 0
     if remaining:
-        sub_union, sub_map = induced_subgraph(full, remaining)
+        sub_union, sub_map = induced_subgraph(full, (v for v in range(n) if colors[v] < 0))
         res_coloring, _ = degeneracy_color(sub_union)
         for i, v in enumerate(sub_map):
             colors[v] = next_color + res_coloring.colors[i]
@@ -418,7 +404,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         next_color += residual_colors
 
     coloring = Coloring(tuple(colors), next_color)
-    assert verify_coloring(full, coloring)
+    if not verify_coloring(full, coloring):
+        raise AssertionError("stripping produced an improper coloring")
     trace = ColoringTrace(
         bucket_counts=tuple(buckets),
         i0=i0,
@@ -428,5 +415,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         fidelity_flags=tuple(flags),
         rounds=tuple(rounds),
     )
-    assert sum(trace.bucket_counts) + trace.residual_colors == coloring.num_colors
+    if sum(trace.bucket_counts) + trace.residual_colors != coloring.num_colors:
+        raise AssertionError("bucket counts do not sum to the number of colors")
     return coloring, trace

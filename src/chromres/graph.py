@@ -209,6 +209,14 @@ def union(g: Graph, e: EdgeSet) -> Graph:
     return Graph(g.n, tuple(rows), g.edge_count + added)
 
 
+def mask_of(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for every v in vertices."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Relabeled subgraph on the vertex set s plus the map back to g's labels.
 
@@ -252,6 +260,17 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _simple_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
+    """Graph on range-checked, loop-free pairs; rejects what from_edges would
+    accept or merge silently."""
+    if n < 0:
+        raise GraphFormatError(f"negative vertex count {n}")
+    g = Graph.from_edges(n, pairs)
+    if g.edge_count != len(pairs):
+        raise GraphFormatError("duplicate edges in input")
+    return g
+
+
 def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
@@ -277,10 +296,7 @@ def parse_edge_list(text: str) -> Graph:
         if not 0 <= u < v < n:
             raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n={n}")
         pairs.append((u, v))
-    g = Graph.from_edges(n, pairs)
-    if g.edge_count != m:
-        raise GraphFormatError("duplicate edges in input")
-    return g
+    return _simple_graph(n, pairs)
 
 
 def to_dimacs(g: Graph) -> str:
@@ -301,11 +317,17 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"bad problem line {ln!r}")
-            n, m = int(parts[2]), int(parts[3])
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise GraphFormatError(f"bad problem line {ln!r}") from exc
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise GraphFormatError(f"bad edge line {ln!r}")
-            pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            try:
+                pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            except ValueError as exc:
+                raise GraphFormatError(f"bad edge line {ln!r}") from exc
         else:
             raise GraphFormatError(f"unrecognized line {ln!r}")
     if n is None:
@@ -315,16 +337,9 @@ def parse_dimacs(text: str) -> Graph:
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"edge ({u + 1},{v + 1}) out of range")
-    return Graph.from_edges(n, pairs)
-
-
-def io_roundtrip(g: Graph) -> Graph:
-    """Serialize to edge-list text and re-parse; the result equals g.
-
-    Exists as a self-check: a failed roundtrip means the graph violates the
-    format's invariants.
-    """
-    return parse_edge_list(to_edge_list(g))
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u + 1}")
+    return _simple_graph(n, pairs)
 
 
 def load_graph(path: str) -> Graph:

@@ -2,14 +2,16 @@
 fixed-size enumeration with pair-coverage accounting, the capped-family
 deletion construction, and the sparse-member selector.
 
-All searches run on the bit-packed adjacency rows and use documented,
-deterministic orderings so results are reproducible.
+All searches run on the bit-packed adjacency rows, restricted to a vertex
+bitmask `within` where given, and use documented, deterministic orderings
+so results are reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .graph import EdgeSet, Graph
@@ -23,6 +25,14 @@ class EnumerationLimitError(RuntimeError):
     """Enumeration would produce more sets than the anti-explosion guard allows."""
 
 
+def _vertex_mask(g: Graph, within: Optional[int]) -> int:
+    if within is None:
+        return (1 << g.n) - 1
+    if within >> g.n:  # also true for a negative mask
+        raise ValueError(f"vertex mask {within:#x} has bits outside 0..{g.n - 1}")
+    return within
+
+
 def is_independent(g: Graph, vertices) -> bool:
     vs = list(vertices)
     for i, u in enumerate(vs):
@@ -32,23 +42,28 @@ def is_independent(g: Graph, vertices) -> bool:
     return True
 
 
-def max_independent_set(g: Graph, limit: int = 120) -> tuple[int, ...]:
-    """Exact maximum independent set via branch-and-bound.
+def max_independent_set(g: Graph, limit: int = 120,
+                        within: Optional[int] = None) -> tuple[int, ...]:
+    """Exact maximum independent set of the vertex mask `within` (default:
+    all of g) via branch-and-bound.
 
     Pruning bound: greedy clique cover of the candidate set (any clique
     contributes at most one vertex to an independent set). Branching order
-    is vertices by descending degree, ties by index, so the result is
-    deterministic. Raises SizeLimitError beyond `limit` vertices.
+    is vertices by descending degree inside `within`, ties by index, so the
+    result is deterministic. Raises SizeLimitError when `within` holds more
+    than `limit` vertices.
     """
-    n = g.n
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds exact-search limit {limit}")
-    if n == 0:
+    top = _vertex_mask(g, within)
+    size = top.bit_count()
+    if size > limit:
+        raise SizeLimitError(f"n={size} exceeds exact-search limit {limit}")
+    if size == 0:
         return ()
     rows = g.rows
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    order = sorted((v for v in range(g.n) if (top >> v) & 1),
+                   key=lambda v: (-(rows[v] & top).bit_count(), v))
 
-    best = list(turan_extract(g))  # greedy start, never empty for n >= 1
+    best = list(turan_extract(g, top))  # greedy start, never empty for size >= 1
     best_size = len(best)
     cur: list[int] = []
 
@@ -84,32 +99,43 @@ def max_independent_set(g: Graph, limit: int = 120) -> tuple[int, ...]:
             cur.pop()
             cand &= ~(1 << v)
 
-    expand((1 << n) - 1)
+    expand(top)
     result = tuple(sorted(best))
-    assert is_independent(g, result)
+    if not is_independent(g, result):
+        raise AssertionError(f"max_independent_set returned a dependent set {result}")
     return result
 
 
-def turan_extract(g: Graph) -> tuple[int, ...]:
-    """Greedy independent set: repeatedly take a minimum-degree vertex and
-    delete its closed neighborhood. Guarantees size >= n^2/(2e+n)."""
+def min_degree_vertex(rows: tuple[int, ...], alive: int) -> tuple[int, int]:
+    """Lowest-index vertex of minimum degree inside the non-empty mask
+    `alive`, with that degree (neighbours outside `alive` do not count)."""
+    best_v, best_d = -1, alive.bit_count()
+    m = alive
+    while m:
+        lsb = m & -m
+        v = lsb.bit_length() - 1
+        m ^= lsb
+        d = (rows[v] & alive).bit_count()
+        if d < best_d:
+            best_v, best_d = v, d
+    return best_v, best_d
+
+
+def turan_extract(g: Graph, within: Optional[int] = None) -> tuple[int, ...]:
+    """Greedy independent set of the vertex mask `within` (default: all of
+    g): repeatedly take a minimum-degree vertex and delete its closed
+    neighborhood. Guarantees size >= s^2/(2e+s) for the s vertices and e
+    edges inside `within`."""
     rows = g.rows
-    alive = (1 << g.n) - 1
+    alive = _vertex_mask(g, within)
     out = []
     while alive:
-        best_v, best_d = -1, g.n + 1
-        m = alive
-        while m:
-            lsb = m & -m
-            v = lsb.bit_length() - 1
-            m ^= lsb
-            d = (rows[v] & alive).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        out.append(best_v)
-        alive &= ~(rows[best_v] | (1 << best_v))
+        v, _ = min_degree_vertex(rows, alive)
+        out.append(v)
+        alive &= ~(rows[v] | (1 << v))
     result = tuple(sorted(out))
-    assert is_independent(g, result)
+    if not is_independent(g, result):
+        raise AssertionError(f"turan_extract returned a dependent set {result}")
     return result
 
 
@@ -161,7 +187,7 @@ def _coverage_of(sets: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
     return cov
 
 
-def _enumerate_sets(rows: tuple[int, ...], n: int, k: int, limit: int,
+def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
                     node_budget: Optional[int] = None) -> list[tuple[int, ...]]:
     """DFS over increasing vertex labels; sets come out lexicographically sorted."""
     out: list[tuple[int, ...]] = []
@@ -188,65 +214,52 @@ def _enumerate_sets(rows: tuple[int, ...], n: int, k: int, limit: int,
             dfs(c & ~rows[v], chosen, need - 1)
             chosen.pop()
 
-    if k >= 1 and k <= n:
-        dfs((1 << n) - 1, [], k)
-    elif k == 0:
-        out.append(())
+    if k <= within.bit_count():
+        dfs(within, [], k)
     return out
 
 
 def enumerate_isets(g: Graph, k: int, limit: int = 5_000_000,
-                    node_budget: Optional[int] = None) -> IsetFamily:
-    """All independent sets of size exactly k, with pair coverage filled.
+                    node_budget: Optional[int] = None,
+                    within: Optional[int] = None) -> IsetFamily:
+    """All independent sets of size exactly k inside the vertex mask `within`
+    (default: all of g), with pair coverage filled.
 
     Raises EnumerationLimitError if their number would exceed `limit` or,
     when node_budget is set, if the search tree outgrows it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sets = _enumerate_sets(g.rows, g.n, k, limit, node_budget)
+    sets = _enumerate_sets(g.rows, _vertex_mask(g, within), k, limit, node_budget)
     if __debug__:
         for s in sets:
             assert is_independent(g, s)
     return IsetFamily(k=k, sets=tuple(sets), coverage=_coverage_of(sets))
 
 
-def uniform_family(g: Graph, k: int, cap: float, limit: int = 5_000_000) -> IsetFamily:
-    """Cap pair coverage by the snapshot deletion procedure.
+def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
+    """Cap the pair coverage of an enumerated family by snapshot deletion.
 
-    Starting from every independent k-set, for each pair whose initial
-    coverage exceeds `cap`, delete every set containing that pair (pairs are
-    judged against the initial coverage snapshot, so the outcome is
-    order-independent; over-covered pairs are processed lexicographically).
-    The surviving family covers every pair at most `cap` times; excess_mass
-    records the pre-deletion coverage mass sitting above the cap.
+    `family` is every independent k-set, as enumerate_isets returns it. For
+    each pair whose coverage in `family` exceeds `cap`, every set containing
+    that pair is deleted; pairs are judged against that initial snapshot, so
+    the outcome does not depend on the order of deletion. The surviving
+    family covers every pair at most `cap` times; excess_mass records the
+    pre-deletion coverage mass sitting above the cap.
     """
-    full = enumerate_isets(g, k, limit)
-    snapshot = full.coverage
-    bad_pairs = sorted(pr for pr, c in snapshot.items() if c > cap)
-    excess = sum(snapshot[pr] for pr in bad_pairs)
-    bad = set(bad_pairs)
-    kept = []
-    for s in full.sets:
-        hit = False
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                if (s[i], s[j]) in bad:
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            kept.append(s)
+    snapshot = family.coverage
+    bad = {pr for pr, c in snapshot.items() if c > cap}
+    kept = [s for s in family.sets if bad.isdisjoint(combinations(s, 2))]
     fam = IsetFamily(
-        k=k,
+        k=family.k,
         sets=tuple(kept),
         coverage=_coverage_of(kept),
         cap=cap,
-        excess_mass=excess,
-        deleted=len(full.sets) - len(kept),
+        excess_mass=sum(snapshot[pr] for pr in bad),
+        deleted=len(family.sets) - len(kept),
     )
-    assert all(c <= cap for c in fam.coverage.values())
+    if any(c > cap for c in fam.coverage.values()):
+        raise AssertionError(f"capped family still covers a pair more than {cap} times")
     return fam
 
 
@@ -255,7 +268,8 @@ def sparse_iset(family: IsetFamily, e: EdgeSet) -> tuple[tuple[int, ...], int]:
 
     Linear scan over the family, first minimizer wins (sets are stored in
     lexicographic order, so this is deterministic). When the family carries a
-    cap, the averaging bound count <= ceil(cap * |e| / |family|) is asserted.
+    cap, the averaging bound count <= ceil(cap * |e| / |family|) is checked,
+    so e must hold only pairs among the family's vertex set.
     """
     if not family.sets:
         raise ValueError("family is empty")
@@ -267,7 +281,9 @@ def sparse_iset(family: IsetFamily, e: EdgeSet) -> tuple[tuple[int, ...], int]:
         count = sum(1 for u, v in pair_list if u in members and v in members)
         if best_count is None or count < best_count:
             best_set, best_count = s, count
-    if family.cap is not None and len(family.sets) > 0:
+    if family.cap is not None:
         bound = math.ceil(family.cap * e.m / len(family.sets))
-        assert best_count <= bound, (best_count, bound)
+        if best_count > bound:
+            raise AssertionError(f"sparsest member has {best_count} pairs, "
+                                 f"above the averaging bound {bound}")
     return best_set, best_count

@@ -25,7 +25,7 @@ from . import analytics
 from .adversary import bounded_degree_h, plant_clique, random_budget
 from .coloring import StripKnobs, chromatic_exact, dsatur, strip_color, verify_coloring
 from .graph import EdgeSet, Graph, GnpParams, generate_gnp, union
-from .isets import uniform_family
+from .isets import enumerate_isets, uniform_family
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -183,7 +183,7 @@ def concentration_sample(n: int, p: float, theta: float, cap_multiplier: float,
     excess = []
     for t in range(trials):
         g = generate_gnp(GnpParams(n, p, derive_seed(seed, t)))
-        fam = uniform_family(g, profile.k0, cap, enumeration_limit)
+        fam = uniform_family(enumerate_isets(g, profile.k0, enumeration_limit), cap)
         ratios.append(len(fam) / mu)
         excess.append(fam.excess_mass / mu)
     arr = np.array(ratios)

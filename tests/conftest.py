@@ -7,7 +7,22 @@ order, so they stay valid yardsticks for the clever implementations.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from chromres import Graph
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(args: list[str], timeout: float, cwd=None) -> subprocess.CompletedProcess:
+    """Run this interpreter on args in a fresh process that imports chromres
+    from this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def petersen() -> Graph:

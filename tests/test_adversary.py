@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from chromres import (
-    AdversaryBudget,
     EdgeSet,
     GnpParams,
     Graph,
@@ -27,18 +26,6 @@ from conftest import brute_chromatic
 
 def gnp(n, p, seed):
     return generate_gnp(GnpParams(n, p, seed))
-
-
-class TestBudgetType:
-    def test_modes(self):
-        AdversaryBudget("global", m=5)
-        AdversaryBudget("local", delta=2)
-        with pytest.raises(ValueError):
-            AdversaryBudget("global", delta=2)
-        with pytest.raises(ValueError):
-            AdversaryBudget("local", m=1)
-        with pytest.raises(ValueError):
-            AdversaryBudget("sideways", m=1)
 
 
 class TestPlantClique:

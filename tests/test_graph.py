@@ -151,10 +151,7 @@ class TestSerialization:
         assert parse_edge_list(text) == Graph.complete(3)
 
     def test_gnp_roundtrip(self):
-        from chromres import io_roundtrip
-
         g = gnp(50, 0.5, 3)
-        assert io_roundtrip(g) == g
         assert parse_edge_list(to_edge_list(g)) == g
         assert parse_dimacs(to_dimacs(g)) == g
 
@@ -174,6 +171,7 @@ class TestSerialization:
         "3 1\n0 3\n",          # v out of range
         "3 1\n0 x\n",
         "3 2\n0 1\n0 1\n",     # duplicate edge
+        "-1 0\n",              # negative n
     ])
     def test_malformed_edge_list(self, bad):
         with pytest.raises(GraphFormatError):
@@ -184,6 +182,11 @@ class TestSerialization:
         "p edge 3 2\ne 1 2\n",           # count mismatch
         "p edge 3 1\ne 1 4\n",           # out of range
         "p edge 3 1\nq 1 2\n",           # unknown line
+        "p edge x 1\ne 1 2\n",           # non-integer header
+        "p edge 3 1\ne 1 y\n",           # non-integer endpoint
+        "p edge 3 1\ne 2 2\n",           # self-loop
+        "p edge 3 2\ne 1 2\ne 2 1\n",    # duplicate edge
+        "p edge -2 0\n",                 # negative n
     ])
     def test_malformed_dimacs(self, bad):
         with pytest.raises(GraphFormatError):

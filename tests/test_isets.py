@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromres import (
     EdgeSet,
@@ -13,13 +14,14 @@ from chromres import (
     SizeLimitError,
     enumerate_isets,
     generate_gnp,
+    induced_subgraph,
     is_independent,
     max_independent_set,
     sparse_iset,
     turan_extract,
     uniform_family,
 )
-from conftest import brute_alpha, petersen
+from conftest import brute_alpha, petersen, run_python
 
 
 def gnp(n, p, seed):
@@ -123,30 +125,30 @@ class TestEnumerate:
 
 class TestUniformFamily:
     def test_pairs_under_cap_all_retained(self):
-        fam = uniform_family(Graph.empty(4), 2, cap=1)
+        fam = uniform_family(enumerate_isets(Graph.empty(4), 2), cap=1)
         assert len(fam) == 6 and fam.deleted == 0 and fam.excess_mass == 0
 
     def test_triples_all_deleted(self):
         # each pair lies in exactly 2 of the 4 triples of the empty graph
-        fam = uniform_family(Graph.empty(4), 3, cap=1)
+        fam = uniform_family(enumerate_isets(Graph.empty(4), 3), cap=1)
         assert len(fam) == 0
         assert fam.deleted == 4
         assert fam.excess_mass == 12  # 6 pairs x coverage 2
 
     def test_c5_pairs_retained(self):
-        fam = uniform_family(Graph.cycle(5), 2, cap=1)
+        fam = uniform_family(enumerate_isets(Graph.cycle(5), 2), cap=1)
         assert len(fam) == 5
 
     def test_real_valued_cap(self):
         # cap below 1 deletes every set that covers any pair at all
-        fam = uniform_family(Graph.empty(4), 2, cap=0.9)
+        fam = uniform_family(enumerate_isets(Graph.empty(4), 2), cap=0.9)
         assert len(fam) == 0 and fam.deleted == 6
 
     def test_size_accounting_and_cap_respected(self):
         for seed in range(6):
             g = gnp(20, 0.5, seed)
             total = enumerate_isets(g, 4)
-            capped = uniform_family(g, 4, cap=2)
+            capped = uniform_family(total, cap=2)
             assert len(capped) + capped.deleted == len(total)
             assert all(c <= 2 for c in capped.coverage.values())
             # excess mass recounts pre-deletion coverage above the cap
@@ -161,7 +163,7 @@ class TestSparseIset:
         assert count == 0 and chosen in fam.sets
 
     def test_single_pair_avoided(self):
-        fam = uniform_family(Graph.empty(4), 2, cap=1)
+        fam = uniform_family(enumerate_isets(Graph.empty(4), 2), cap=1)
         chosen, count = sparse_iset(fam, EdgeSet.from_pairs([(0, 1)]))
         assert count == 0 and set(chosen) != {0, 1}
 
@@ -185,3 +187,50 @@ class TestSparseIset:
                 per_member.append(inside)
             assert count == min(per_member)
             assert count <= sum(per_member) / len(per_member)  # averaging
+
+
+class TestSearchWithinMask:
+    """Searching a vertex mask of g equals searching the relabelled induced
+    subgraph on that mask and mapping the result back."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_matches_induced_subgraph(self, seed, k):
+        rng = random.Random(seed)
+        n = rng.randint(1, 24)
+        g = gnp(n, rng.choice([0.2, 0.5, 0.8]), rng.randrange(1000))
+        mask = rng.getrandbits(n)
+        sub, mapping = induced_subgraph(g, [v for v in range(n) if (mask >> v) & 1])
+
+        def back(vs):
+            return tuple(mapping[v] for v in vs)
+
+        assert turan_extract(g, mask) == back(turan_extract(sub))
+        assert enumerate_isets(g, k, within=mask).sets == tuple(
+            back(s) for s in enumerate_isets(sub, k).sets)
+        assert max_independent_set(g, within=mask) == back(max_independent_set(sub))
+
+    def test_size_limit_counts_the_mask(self):
+        assert max_independent_set(Graph.empty(30), limit=3, within=0b111) == (0, 1, 2)
+        with pytest.raises(SizeLimitError):
+            max_independent_set(Graph.empty(30), limit=3, within=0b1111)
+
+    @pytest.mark.parametrize("mask", [0b1000, -1])
+    def test_mask_outside_graph_rejected(self, mask):
+        with pytest.raises(ValueError):
+            turan_extract(Graph.empty(3), mask)
+        with pytest.raises(ValueError):
+            enumerate_isets(Graph.empty(3), 1, within=mask)
+        with pytest.raises(ValueError):
+            max_independent_set(Graph.empty(3), within=mask)
+
+
+def test_averaging_bound_checked_under_optimize():
+    # a family whose cap its coverage violates: the bound check must still
+    # fire when python -O strips assert statements
+    code = ("from chromres import EdgeSet, IsetFamily, sparse_iset\n"
+            "sparse_iset(IsetFamily(2, ((0, 1),), {(0, 1): 1}, cap=0),"
+            " EdgeSet.from_pairs([(0, 1)]))\n")
+    proc = run_python(["-O", "-c", code], timeout=60)
+    assert proc.returncode != 0
+    assert "averaging bound" in proc.stderr
