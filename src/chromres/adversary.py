@@ -85,7 +85,8 @@ def bounded_degree_h(n: int, delta: int, seed: int,
                 pairs.add((min(u, v), max(u, v)))
     edges = EdgeSet(frozenset(pairs))
     max_deg = edges.max_degree()
-    assert max_deg <= delta, (max_deg, delta)
+    if max_deg > delta:
+        raise AssertionError(f"bounded_degree_h produced degree {max_deg} > delta={delta}")
     return edges, max_deg
 
 
@@ -116,7 +117,8 @@ def global_resilience_witness(g: Graph, chi_cap: int, m_max: int,
     if chromatic_exact(g, chromatic_limit) > chi_cap:
         return 0, EdgeSet(frozenset())
     base_coloring = find_coloring(g, chi_cap)
-    assert base_coloring is not None
+    if base_coloring is None:
+        raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
     non_edges = g.non_edges()
     mono = _monochromatic_pairs(base_coloring, non_edges)
     for size in range(1, min(m_max, len(non_edges)) + 1):
@@ -193,7 +195,8 @@ def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
         return 0, EdgeSet(frozenset())
     non_edges = g.non_edges()
     base_coloring = find_coloring(g, chi_cap)
-    assert base_coloring is not None
+    if base_coloring is None:
+        raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
     mono = _monochromatic_pairs(base_coloring, non_edges)
     for delta in range(1, delta_max + 1):
         for h in _maximal_bounded_subsets(non_edges, g.n, delta, node_budget):

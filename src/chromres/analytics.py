@@ -142,14 +142,17 @@ def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
     if k0 is not None and k0 >= 2:
         log_mu, log_mu0 = expected_counts(n, p, k0)
         # defining property of k0
-        assert log_mu >= math.log(theta) - 1e-9
+        if log_mu < math.log(theta) - 1e-9:
+            raise AssertionError(f"log mu(k0)={log_mu} is below log theta at k0={k0}")
         # exact ratio identity, used everywhere downstream
         ratio = math.exp(log_mu0 - log_mu)
         exact = k0 * (k0 - 1) / (n * (n - 1))
-        assert abs(ratio - exact) <= 1e-12 * exact
+        if abs(ratio - exact) > 1e-12 * exact:
+            raise AssertionError(f"mu0/mu={ratio} differs from k0(k0-1)/(n(n-1))={exact}")
     if p <= 0.5:
         # the pair-coverage cap 4*mu0 dominates 2*mu0/(1-p) exactly here
-        assert 4.0 >= 2.0 / (1.0 - p)
+        if 4.0 < 2.0 / (1.0 - p):
+            raise AssertionError(f"cap 4*mu0 is below 2*mu0/(1-p) at p={p}")
     else:
         warnings.warn(
             f"p={p} > 1/2: the default pair-coverage cap has no backing here",

@@ -132,7 +132,8 @@ def degeneracy_color(g: Graph) -> tuple[Coloring, int]:
         colors[v] = c
     num = max(colors) + 1 if colors else 0
     coloring = Coloring(tuple(colors), num)
-    assert num <= degeneracy + 1
+    if num > degeneracy + 1:
+        raise AssertionError(f"{num} colors exceed degeneracy + 1 = {degeneracy + 1}")
     return coloring, degeneracy
 
 

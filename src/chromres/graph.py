@@ -5,15 +5,37 @@ Python int per vertex (bit j of rows[i] set iff {i, j} is an edge), which
 gives O(1) adjacency tests and fast row intersection for the independent-set
 searches downstream. Graphs are immutable; every mutating-style operation
 returns a new value, so instances are safe to share across threads.
+
+Bulk graph I/O runs on numpy arrays rather than per pair: the generator draws
+its random stream in fixed-size blocks, the writers unpack each row's upper
+neighbours at once, and the parsers tokenize blocks of text and check all
+their edges as arrays. Every path that turns a list of pairs into rows
+(generator, parsers, Graph.from_edges) goes through _rows_from_pairs, which
+packs the bits into bounded blocks of rows and counts distinct edges by
+popcount.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+
+# Largest vertex count either parser accepts; a header above it is rejected
+# before anything of size n is allocated.
+_MAX_VERTICES = 1 << 20
+# Draws per rng.random call in generate_gnp: bounds the float64 buffer the
+# generator holds at once (128 KiB).
+_DRAW_BLOCK = 1 << 14
+# Bytes of packed bit matrix _rows_from_pairs holds at once unless the pairs
+# themselves take more.
+_MATRIX_BLOCK_BYTES = 1 << 20
+# Characters of text a parser tokenizes at once (cut at the next newline).
+_TEXT_BLOCK_CHARS = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -91,17 +113,22 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
-        count = 0
-        for u, v in pairs:
-            u, v = _normalize_pair(u, v)
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not (rows[u] >> v) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                count += 1
-        return cls(n, tuple(rows), count)
+        """Graph on n vertices with the given pairs as edges, in either order;
+        repeated pairs count once. Raises ValueError on a self-loop or an
+        endpoint outside 0..n-1."""
+        pairs = [(operator.index(u), operator.index(v)) for u, v in pairs]
+        try:
+            uv = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        except OverflowError:  # an endpoint beyond int64 is out of range
+            uv = None
+        if uv is None or not ((uv[:, 0] != uv[:, 1]) & (uv.min(axis=1) >= 0)
+                              & (uv.max(axis=1) < n)).all():
+            for u, v in pairs:  # name the first offending pair
+                u, v = _normalize_pair(u, v)
+                if not 0 <= u < v < n:
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        rows, count = _rows_from_pairs(n, [(uv[:, 0], uv[:, 1])])
+        return cls(n, rows, count)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -172,28 +199,89 @@ class GnpParams:
             )
 
 
+def _rows_from_pairs(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+                     ) -> tuple[tuple[int, ...], int]:
+    """Adjacency rows and number of distinct edges of the pairs (u[k], v[k])
+    of every endpoint-array chunk (u, v). Pairs must be loop-free with
+    endpoints in 0..n-1; a pair given twice, in either order, sets the same
+    bits.
+
+    Bits are set in a packed little-endian uint8 matrix. The whole matrix
+    (n * ceil(n/8) bytes) is held at once only when it is no larger than
+    _MATRIX_BLOCK_BYTES or than the pair arrays themselves; each chunk is then
+    set as it arrives. Otherwise the input is sparse for its n: the pairs are
+    grouped by blocks of rows of at most _MATRIX_BLOCK_BYTES, only blocks that
+    some pair touches are filled, one at a time, and every other row is 0.
+    """
+    width = (n + 7) // 8
+    rows = [0] * n
+
+    def fill(r0: int, r1: int, entries: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+        # set bit dst of row src for every (src, dst) entry, rows r0..r1-1
+        packed = np.zeros((r1 - r0) * width, dtype=np.uint8)
+        for src, dst in entries:
+            at = src - r0
+            at *= width
+            at += dst >> 3
+            bit = (dst & 7).astype(np.uint8)
+            np.left_shift(1, bit, out=bit)
+            np.bitwise_or.at(packed, at, bit)
+        blob = packed.tobytes()
+        rows[r0:r1] = [int.from_bytes(blob[k * width:(k + 1) * width], "little")
+                       for k in range(r1 - r0)]
+
+    chunks = iter(chunks)
+    held, held_bytes = [], 0
+    whole = n * width <= _MATRIX_BLOCK_BYTES
+    while not whole and (chunk := next(chunks, None)) is not None:
+        held.append(chunk)
+        held_bytes += chunk[0].nbytes + chunk[1].nbytes
+        whole = n * width <= held_bytes
+    if whole:
+        fill(0, n, (entry for u, v in itertools.chain(held, chunks) for entry in ((u, v), (v, u))))
+    else:
+        span = max(1, _MATRIX_BLOCK_BYTES // width)  # rows per block
+        src = np.concatenate([u for u, _ in held] + [v for _, v in held])
+        dst = np.concatenate([v for _, v in held] + [u for u, _ in held])
+        order = np.argsort(src // span, kind="stable")
+        src, dst = src[order], dst[order]
+        lo = 0
+        while lo < len(src):
+            r0 = int(src[lo]) // span * span
+            r1 = min(n, r0 + span)
+            # entries are grouped by block, so "src >= r1" is monotone in the index
+            hi = int(np.searchsorted(src, r1))
+            fill(r0, r1, [(src[lo:hi], dst[lo:hi])])
+            lo = hi
+    return tuple(rows), sum(map(int.bit_count, rows)) // 2
+
+
 def generate_gnp(params: GnpParams) -> Graph:
     """Draw a random graph where each pair is an edge independently with prob p.
 
     Deterministic stream convention (stable across runs, platforms and thread
     counts): a numpy PCG64 generator seeded with params.seed emits one float64
     per unordered pair, consumed in row-major order over pairs (i, j) with
-    i < j; the pair is an edge iff its draw is < p.
+    i < j; the pair is an edge iff its draw is < p. The stream is drawn in
+    blocks of _DRAW_BLOCK floats; PCG64's random(a) then random(b) yields
+    the same numbers as random(a + b), so the block size cannot change a graph.
     """
     n, p = params.n, params.p
     rng = np.random.Generator(np.random.PCG64(params.seed))
-    rows = [0] * n
-    count = 0
-    for i in range(n - 1):
-        draws = rng.random(n - 1 - i)
-        row = rows[i]
-        for off in np.flatnonzero(draws < p):
-            j = i + 1 + int(off)
-            row |= 1 << j
-            rows[j] |= 1 << i
-            count += 1
-        rows[i] = row
-    return Graph(n, tuple(rows), count)
+    # pair (i, j) is draw number first[i] + (j - i - 1), row i starting at
+    # first[i] = i*(2n-i-1)/2
+    i = np.arange(n, dtype=np.int64)
+    first = i * (2 * n - i - 1) // 2
+    total = n * (n - 1) // 2
+
+    def edges() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for k in range(0, total, _DRAW_BLOCK):
+            hits = np.flatnonzero(rng.random(min(_DRAW_BLOCK, total - k)) < p) + k
+            u = np.searchsorted(first, hits, side="right") - 1
+            yield u, hits - first[u] + u + 1
+
+    rows, count = _rows_from_pairs(n, edges())
+    return Graph(n, rows, count)
 
 
 def union(g: Graph, e: EdgeSet) -> Graph:
@@ -252,94 +340,168 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 #
 # DIMACS coloring instances: "p edge n m" header, "e u v" lines, 1-based.
 # The conversion is the bit-exact shift u+1, v+1.
+#
+# Both parsers read integers with int() semantics, reject a vertex count
+# above _MAX_VERTICES, and reject a repeated edge (in either order for
+# DIMACS): the number of distinct pairs must equal the number of edge lines.
+
+
+def _edge_text(g: Graph, header: str, prefix: str, base: int) -> str:
+    """header line, then "<prefix>u v" for every edge u < v in row-major
+    order, with labels shifted by base."""
+    labels = np.array([f"{w + base}\n" for w in range(g.n)], dtype=object)
+    width = (g.n + 7) // 8
+    parts = [header + "\n"]
+    for u, row in enumerate(g.rows):
+        upper = row >> (u + 1)
+        if upper:
+            bits = np.unpackbits(np.frombuffer(upper.to_bytes(width, "little"), dtype=np.uint8),
+                                 bitorder="little")
+            lead = f"{prefix}{u + base} "
+            parts.append(lead + lead.join(labels[np.flatnonzero(bits) + (u + 1)].tolist()))
+    return "".join(parts)
 
 
 def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def _simple_graph(n: int, pairs: list[tuple[int, int]]) -> Graph:
-    """Graph on range-checked, loop-free pairs; rejects what from_edges would
-    accept or merge silently."""
-    if n < 0:
-        raise GraphFormatError(f"negative vertex count {n}")
-    g = Graph.from_edges(n, pairs)
-    if g.edge_count != len(pairs):
-        raise GraphFormatError("duplicate edges in input")
-    return g
-
-
-def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise GraphFormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"bad header {lines[0]!r}, expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"bad header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"header claims {m} edges, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad edge line {ln!r}") from exc
-        if not 0 <= u < v < n:
-            raise GraphFormatError(f"edge ({u},{v}) violates 0 <= u < v < n={n}")
-        pairs.append((u, v))
-    return _simple_graph(n, pairs)
+    return _edge_text(g, f"{g.n} {g.edge_count}", "", 0)
 
 
 def to_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.edge_count}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return _edge_text(g, f"p edge {g.n} {g.edge_count}", "e ", 1)
+
+
+def _text_blocks(text: str) -> Iterator[tuple[list[str], np.ndarray, list[str]]]:
+    """Split text into pieces of about _TEXT_BLOCK_CHARS characters, each cut
+    just after a newline, and yield for each piece its lines (as
+    str.splitlines gives them), every line's token count and all its tokens.
+
+    Every line boundary is whitespace, so the tokens are the lines' tokens
+    in order, and cutting after a newline splits no line.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _TEXT_BLOCK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        block = text[start:end]
+        lines = block.splitlines()
+        counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
+        yield lines, counts, block.split()
+        start = end
+
+
+def _int64s(tokens: Iterable[str], lines: Iterable[str]) -> np.ndarray:
+    """tokens as int64; when one is not an integer or does not fit, raise
+    GraphFormatError naming the first of lines whose last two tokens (the
+    edge endpoints) fail the same way."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        for ln in lines:
+            try:
+                np.array(ln.split()[-2:], dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise GraphFormatError(f"bad edge line {ln.strip()!r}") from exc
+        raise GraphFormatError(f"bad edge endpoint: {exc}") from exc
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise GraphFormatError(f"negative vertex count {n}")
+    if n > _MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit {_MAX_VERTICES}")
+
+
+def _parsed_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """Graph of range-checked, loop-free pairs; rejects repeated edges."""
+    rows, count = _rows_from_pairs(n, [(u, v)])
+    if count != len(u):
+        raise GraphFormatError("duplicate edges in input")
+    return Graph(n, rows, count)
+
+
+def parse_edge_list(text: str) -> Graph:
+    head = None
+    ends = []
+    for lines, counts, tokens in _text_blocks(text):
+        if head is None:
+            filled = np.flatnonzero(counts)
+            if not filled.size:
+                continue
+            first = int(filled[0])
+            head = lines[first].strip()
+            parts = head.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"bad header {head!r}, expected 'n m'")
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"bad header {head!r}") from exc
+            _check_vertex_count(n)
+            lines, counts, tokens = lines[first + 1:], counts[first + 1:], tokens[2:]
+        bad = np.flatnonzero((counts != 0) & (counts != 2))
+        if bad.size:
+            raise GraphFormatError(f"bad edge line {lines[bad[0]].strip()!r}")
+        ends.append(_int64s(tokens, lines))
+    if head is None:
+        raise GraphFormatError("empty input")
+    uv = np.concatenate(ends).reshape(-1, 2)
+    del ends
+    if len(uv) != m:
+        raise GraphFormatError(f"header claims {m} edges, found {len(uv)}")
+    u, v = uv[:, 0], uv[:, 1]
+    bad = np.flatnonzero((u < 0) | (u >= v) | (v >= n))
+    if bad.size:
+        i = bad[0]
+        raise GraphFormatError(f"edge ({u[i]},{v[i]}) violates 0 <= u < v < n={n}")
+    return _parsed_graph(n, u, v)
 
 
 def parse_dimacs(text: str) -> Graph:
-    n = None
-    m = None
-    pairs = []
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln or ln.startswith("c"):
-            continue
-        parts = ln.split()
-        if parts[0] == "p":
+    problem = None
+    ends = []
+    for lines, counts, tokens in _text_blocks(text):
+        filled = np.flatnonzero(counts)
+        at = (np.cumsum(counts) - counts)[filled]  # first token of each non-blank line
+        tok = np.array(tokens, dtype=object)
+        heads = tok[at]
+        is_e = heads == "e"
+        is_p = heads == "p"
+        for i in np.flatnonzero(~(is_e | is_p)):
+            if not heads[i].startswith("c"):
+                raise GraphFormatError(f"unrecognized line {lines[filled[i]].strip()!r}")
+        for i in np.flatnonzero(is_p):
+            ln = lines[filled[i]].strip()
+            parts = ln.split()
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"bad problem line {ln!r}")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                problem = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"bad problem line {ln!r}") from exc
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise GraphFormatError(f"bad edge line {ln!r}")
-            try:
-                pairs.append((int(parts[1]) - 1, int(parts[2]) - 1))
-            except ValueError as exc:
-                raise GraphFormatError(f"bad edge line {ln!r}") from exc
-        else:
-            raise GraphFormatError(f"unrecognized line {ln!r}")
-    if n is None:
+        bad = np.flatnonzero(is_e & (counts[filled] != 3))
+        if bad.size:
+            raise GraphFormatError(f"bad edge line {lines[filled[bad[0]]].strip()!r}")
+        at = at[is_e]
+        ends.append(_int64s(tok[np.stack((at + 1, at + 2), axis=1).ravel()],
+                            (lines[i] for i in filled[is_e])))
+    if problem is None:
         raise GraphFormatError("missing 'p edge n m' line")
-    if len(pairs) != m:
-        raise GraphFormatError(f"header claims {m} edges, found {len(pairs)}")
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u + 1},{v + 1}) out of range")
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u + 1}")
-    return _simple_graph(n, pairs)
+    n, m = problem
+    _check_vertex_count(n)
+    uv = np.concatenate(ends).reshape(-1, 2)
+    del ends
+    if len(uv) != m:
+        raise GraphFormatError(f"header claims {m} edges, found {len(uv)}")
+    u, v = uv[:, 0], uv[:, 1]
+    out = (u < 1) | (u > n) | (v < 1) | (v > n)
+    bad = np.flatnonzero(out | (u == v))
+    if bad.size:
+        i = bad[0]
+        if out[i]:
+            raise GraphFormatError(f"edge ({u[i]},{v[i]}) out of range")
+        raise GraphFormatError(f"self-loop at vertex {u[i]}")
+    uv -= 1
+    return _parsed_graph(n, u, v)
 
 
 def load_graph(path: str) -> Graph:
