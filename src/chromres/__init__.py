@@ -13,7 +13,6 @@ from .analytics import (
     build_profile,
     compute_k0,
     expected_counts,
-    log_expected_isets,
     predicted_chromatic,
     tail_bounds,
     working_k,

@@ -1,8 +1,10 @@
 """Edge-addition strategies and exact resilience oracles.
 
-The oracles are exhaustive ground truth at tiny n: they search candidate
-edge additions in a documented order (size classes ascending, colexicographic
-within a class) so the first hit is minimal, and they never approximate.
+The oracles are exhaustive ground truth at tiny n: both run one search over
+candidate edge additions in a documented order of classes (global: edge
+count ascending, colexicographic within a class; local: degree cap Delta
+ascending, maximal bounded subsets in include-first DFS order), so the first
+hit is minimal, and they never approximate.
 Strategies (clique planting, random budgets, bounded-degree graphs) scale to
 any n the graph module handles.
 """
@@ -43,15 +45,18 @@ def random_budget(g: Graph, m: int, seed: int) -> EdgeSet:
     return EdgeSet.from_pairs(non_edges[i] for i in idx)
 
 
-def bounded_degree_h(n: int, delta: int, seed: int,
-                     attempts: int = 100) -> tuple[EdgeSet, int]:
+# Stub matchings bounded_degree_h draws before it erases loops and repeats.
+_MATCHING_ATTEMPTS = 100
+
+
+def bounded_degree_h(n: int, delta: int, seed: int) -> tuple[EdgeSet, int]:
     """Random graph on n vertices with maximum degree <= delta.
 
     Stub-matching generation: delta stubs per vertex, random perfect
     matching, rejected and retried while it produces loops or repeated
-    pairs. After `attempts` tries the last matching is kept with loops and
-    duplicates erased (degrees only shrink, so the cap still holds; exact
-    uniformity is not the contract). Returns the edges and the realized
+    pairs. After _MATCHING_ATTEMPTS tries one more matching is kept with
+    loops and duplicates erased (degrees only shrink, so the cap still holds;
+    exact uniformity is not the contract). Returns the edges and the realized
     maximum degree.
     """
     if delta > n - 1:
@@ -63,7 +68,7 @@ def bounded_degree_h(n: int, delta: int, seed: int,
     if len(stubs) % 2 == 1:
         stubs = stubs[:-1]
     pairs: set[tuple[int, int]] = set()
-    for _ in range(attempts):
+    for _ in range(_MATCHING_ATTEMPTS):
         perm = rng.permutation(stubs)
         cand: set[tuple[int, int]] = set()
         ok = True
@@ -100,46 +105,54 @@ def _colex_combinations(items: list, r: int) -> Iterator[tuple]:
             yield rest + (items[last],)
 
 
-def _monochromatic_pairs(coloring, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
-    return {(u, v) for u, v in pairs if coloring.colors[u] == coloring.colors[v]}
+def _first_defeat(g: Graph, chi_cap: int,
+                  classes: Iterable[tuple[int, Iterable[tuple]]],
+                  ) -> Optional[tuple[int, EdgeSet]]:
+    """First (value, candidate) of `classes`, in order, whose pairs added to
+    g push chi above chi_cap; (0, empty) if chi(g) already exceeds chi_cap,
+    None if no candidate does.
 
-
-def global_resilience_witness(g: Graph, chi_cap: int, m_max: int,
-                              chromatic_limit: int = 40,
-                              ) -> Optional[tuple[int, EdgeSet]]:
-    """Least m <= m_max with an m-edge addition pushing chi above chi_cap,
-    plus one witness edge set; None if no m qualifies.
-
-    Search: size classes ascending, colex order within a class. Candidate
-    sets containing no pair that is monochromatic under one fixed
-    chi_cap-coloring of g cannot raise chi above the cap and are skipped.
+    Each class is a value with its candidate pair tuples, all non-edges of g.
+    A candidate with no pair monochromatic under one fixed chi_cap-coloring
+    of g leaves that coloring proper, so it is skipped untested.
     """
-    if chromatic_exact(g, chromatic_limit) > chi_cap:
+    if chromatic_exact(g) > chi_cap:
         return 0, EdgeSet(frozenset())
     base_coloring = find_coloring(g, chi_cap)
     if base_coloring is None:
         raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
-    non_edges = g.non_edges()
-    mono = _monochromatic_pairs(base_coloring, non_edges)
-    for size in range(1, min(m_max, len(non_edges)) + 1):
-        for subset in _colex_combinations(non_edges, size):
-            if not any(pr in mono for pr in subset):
+    colors = base_coloring.colors
+    for value, candidates in classes:
+        for pairs in candidates:
+            if not any(colors[u] == colors[v] for u, v in pairs):
                 continue
-            e = EdgeSet(frozenset(subset))
+            e = EdgeSet(frozenset(pairs))
             if find_coloring(union(g, e), chi_cap) is None:
-                return size, e
+                return value, e
     return None
 
 
-def global_resilience_oracle(g: Graph, chi_cap: int, m_max: int,
-                             chromatic_limit: int = 40) -> Optional[int]:
+def global_resilience_witness(g: Graph, chi_cap: int,
+                              m_max: int) -> Optional[tuple[int, EdgeSet]]:
+    """Least m <= m_max with an m-edge addition pushing chi above chi_cap,
+    plus one witness edge set; None if no m qualifies.
+
+    Search: size classes ascending, colex order within a class.
+    """
+    non_edges = g.non_edges()
+    return _first_defeat(g, chi_cap, (
+        (size, _colex_combinations(non_edges, size))
+        for size in range(1, min(m_max, len(non_edges)) + 1)))
+
+
+def global_resilience_oracle(g: Graph, chi_cap: int, m_max: int) -> Optional[int]:
     """Minimum number of added edges defeating 'chi <= chi_cap'; see witness."""
-    hit = global_resilience_witness(g, chi_cap, m_max, chromatic_limit)
+    hit = global_resilience_witness(g, chi_cap, m_max)
     return None if hit is None else hit[0]
 
 
 def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: int,
-                             node_budget: int) -> Iterator[EdgeSet]:
+                             node_budget: int) -> Iterator[tuple]:
     """Maximal subsets of non_edges with every vertex in at most delta pairs.
 
     Include/exclude DFS in list order; leaves whose excluded edges could still
@@ -151,7 +164,7 @@ def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: in
     chosen_set: set[tuple[int, int]] = set()
     nodes = 0
 
-    def dfs(i: int) -> Iterator[EdgeSet]:
+    def dfs(i: int) -> Iterator[tuple]:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -160,7 +173,7 @@ def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: in
             for u, v in non_edges:
                 if (u, v) not in chosen_set and deg[u] < delta and deg[v] < delta:
                     return  # dominated: some excluded edge still fits
-            yield EdgeSet(frozenset(chosen))
+            yield tuple(chosen)
             return
         u, v = non_edges[i]
         if deg[u] < delta and deg[v] < delta:
@@ -181,30 +194,21 @@ def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: in
 def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
                              size_limit: int = 9,
                              node_budget: int = 5_000_000,
-                             chromatic_limit: int = 40,
                              ) -> Optional[tuple[int, EdgeSet]]:
     """Least Delta <= delta_max such that some added graph H with max degree
     <= Delta pushes chi above chi_cap, plus a witness H; None otherwise.
 
     Exhaustive over maximal degree-bounded subsets of the non-edges, Delta
-    ascending, so the first success is minimal. Restricted to tiny n.
+    ascending, so the first success is minimal. Restricted to n <= size_limit;
+    SearchBudgetError when one Delta's subset search visits more than
+    node_budget nodes.
     """
     if g.n > size_limit:
         raise SizeLimitError(f"n={g.n} exceeds local-oracle limit {size_limit}")
-    if chromatic_exact(g, chromatic_limit) > chi_cap:
-        return 0, EdgeSet(frozenset())
     non_edges = g.non_edges()
-    base_coloring = find_coloring(g, chi_cap)
-    if base_coloring is None:
-        raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
-    mono = _monochromatic_pairs(base_coloring, non_edges)
-    for delta in range(1, delta_max + 1):
-        for h in _maximal_bounded_subsets(non_edges, g.n, delta, node_budget):
-            if not any(pr in mono for pr in h.pairs):
-                continue
-            if find_coloring(union(g, h), chi_cap) is None:
-                return delta, h
-    return None
+    return _first_defeat(g, chi_cap, (
+        (delta, _maximal_bounded_subsets(non_edges, g.n, delta, node_budget))
+        for delta in range(1, delta_max + 1)))
 
 
 def local_resilience_oracle(g: Graph, chi_cap: int, delta_max: int,

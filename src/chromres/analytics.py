@@ -22,18 +22,13 @@ def log_binomial(n: int, k: int) -> float:
     return math.log(math.comb(n, k))
 
 
-def log_expected_isets(n: int, p: float, k: int) -> float:
-    """log of C(n,k) * (1-p)^C(k,2): expected count of independent k-sets."""
-    return log_binomial(n, k) + (k * (k - 1) // 2) * math.log1p(-p)
-
-
 def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     """Largest k in [1, n] whose expected independent-set count is >= theta.
 
     Returns None when no k qualifies (absence is a value, not an error).
     theta=1 is the first-moment proxy for the independence number; theta=n**4
-    reproduces the threshold the asymptotic analysis uses. The qualifying
-    value itself is log_expected_isets(n, p, k0).
+    reproduces the threshold the asymptotic analysis uses. The expected
+    count of independent k-sets is C(n, k) (1-p)^C(k, 2).
 
     The log of the expected count is concave in k (its increments
     log((n-k)/(k+1)) + k log(1-p) strictly decrease), so the qualifying set

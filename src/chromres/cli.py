@@ -23,6 +23,7 @@ from .coloring import chromatic_exact, degeneracy_color, dsatur, strip_color
 from .graph import (
     EdgeSet,
     GnpParams,
+    Graph,
     generate_gnp,
     load_graph,
     save_graph,
@@ -97,17 +98,10 @@ def _cmd_attack(args) -> int:
     }
     print(json.dumps(wrapper, indent=1))
     if args.edges_out:
-        _write_edge_set(args.edges_out, g.n, e)
+        save_graph(Graph.from_edges(g.n, e.pairs), args.edges_out)
     if args.out:
         save_graph(union(g, e), args.out)
     return 0
-
-
-def _write_edge_set(path: str, n: int, e: EdgeSet) -> None:
-    lines = [f"{n} {e.m}"]
-    lines.extend(f"{u} {v}" for u, v in e.sorted_pairs())
-    with open(path, "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def _cmd_resilience(args) -> int:
@@ -127,15 +121,14 @@ def _cmd_resilience(args) -> int:
         "witness_edges": [list(pr) for pr in witness.sorted_pairs()],
     }, indent=1))
     if args.edges_out:
-        _write_edge_set(args.edges_out, g.n, witness)
+        save_graph(Graph.from_edges(g.n, witness.pairs), args.edges_out)
     return 0
 
 
 def _cmd_audit(args) -> int:
     g = load_graph(args.infile)
     report = density_audit(g, args.p, args.epsilon, mode=args.mode,
-                           samples=args.samples, seed=args.seed,
-                           workers=args.workers)
+                           samples=args.samples, seed=args.seed)
     print(json.dumps(report.to_json(), indent=1))
     return 0
 
@@ -210,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--epsilon", type=float, required=True)
     s.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    s.add_argument("--samples", type=int, default=0)
+    s.add_argument("--samples", type=int, default=0,
+                   help="subsets drawn per size; sampled mode needs >= 1")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=1)
     s.set_defaults(func=_cmd_audit)
 
     s = sub.add_parser("experiment", help="run a key=value config sweep")

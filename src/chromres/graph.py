@@ -133,9 +133,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def neighbors(self, v: int) -> Iterator[int]:
         m = self.rows[v]
         while m:

@@ -1,6 +1,8 @@
 """Experiment harness: density audits, concentration sampling, seeded sweeps.
 
-Sweeps emit CSV (one row per trial, plot-ready) and JSON (full traces). Every
+Audits and concentration samples run serially and are pure functions of
+their arguments (sampled audits draw from PCG64([seed, subset size])). Sweeps
+emit CSV (one row per trial, plot-ready) and JSON (full traces). Every
 row carries the schema version and a hash of its config; per-row randomness
 is derived from SHA-256 of (seed, n, p, strategy) so the table is identical
 regardless of scheduling or worker count.
@@ -17,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -74,15 +76,16 @@ def _edges_inside(g: Graph, subset: tuple[int, ...]) -> int:
 
 
 def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
-                  samples: int = 0, seed: int = 0, workers: int = 1,
+                  samples: int = 0, seed: int = 0,
                   exhaustive_budget: int = 20_000_000) -> DensityReport:
     """Check that every (or a sampled set of) small subset spans few edges.
 
     Thresholds: subsets of size s <= s_max = eps*n/(16 log(np)) may contain
     at most (eps*n*p/(8 log(np))) * s edges. Exhaustive mode enumerates every
     non-trivial size (error if the subset count exceeds the budget); sampled
-    mode draws `samples` subsets per size and can only find violations,
-    never certify their absence.
+    mode draws `samples` >= 1 subsets per size from PCG64([seed, s]) and can
+    only find violations, never certify their absence. Sizes are scanned in
+    ascending order, subsets in the order their source yields them.
     """
     n = g.n
     if n * p <= 1.0:
@@ -97,41 +100,34 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     # sizes with bound*s >= C(s,2) can never violate
     sizes = [s for s in range(2, s_max + 1) if s * (s - 1) / 2 > bound * s]
 
-    def scan_size(s: int) -> list[tuple[tuple[int, ...], int, int]]:
-        limit = math.floor(bound * s)
-        bad = []
-        if mode == "exhaustive":
-            for subset in combinations(range(n), s):
-                e = _edges_inside(g, subset)
-                if e > limit:
-                    bad.append((subset, s, e))
-        else:
-            rng = np.random.Generator(np.random.PCG64([seed, s]))
-            for _ in range(samples):
-                subset = tuple(int(v) for v in sorted(rng.choice(n, size=s, replace=False)))
-                e = _edges_inside(g, subset)
-                if e > limit:
-                    bad.append((subset, s, e))
-        return bad
-
     if mode == "exhaustive":
         total = sum(math.comb(n, s) for s in sizes)
         if total > exhaustive_budget:
             raise AuditBudgetError(
                 f"{total} subsets across sizes {sizes} exceed budget {exhaustive_budget}")
-    elif mode != "sampled":
+    elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sampled audit needs samples >= 1, got {samples}")
+    else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    if workers > 1 and sizes:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_size = list(pool.map(scan_size, sizes))
-    else:
-        per_size = [scan_size(s) for s in sizes]
+    def subsets(s: int) -> Iterator[tuple[int, ...]]:
+        if mode == "exhaustive":
+            return combinations(range(n), s)
+        rng = np.random.Generator(np.random.PCG64([seed, s]))
+        return (tuple(int(v) for v in sorted(rng.choice(n, size=s, replace=False)))
+                for _ in range(samples))
 
-    violations = tuple(v for chunk in per_size for v in chunk)
+    violations = []
+    for s in sizes:
+        limit = math.floor(bound * s)
+        for subset in subsets(s):
+            e = _edges_inside(g, subset)
+            if e > limit:
+                violations.append((subset, s, e))
     return DensityReport(
         n=n, p=p, epsilon=epsilon, s_max=s_max, bound_per_vertex=bound,
-        violations=violations, exhaustive=(mode == "exhaustive"),
+        violations=tuple(violations), exhaustive=(mode == "exhaustive"),
         checked_sizes=tuple(sizes),
     )
 
@@ -162,13 +158,15 @@ class ConcentrationSummary:
 
 
 def concentration_sample(n: int, p: float, theta: float, cap_multiplier: float,
-                         trials: int, seed: int,
-                         enumeration_limit: int = 5_000_000) -> ConcentrationSummary:
+                         trials: int, seed: int) -> ConcentrationSummary:
     """Sample |capped family| / mu and excess mass / mu over fresh graphs.
 
     Trial t uses the graph seed derived from (seed, t); the cap is
-    cap_multiplier * mu0 from the (n, p, theta) profile.
+    cap_multiplier * mu0 from the (n, p, theta) profile; each family is
+    enumerated under enumerate_isets' default limit.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     profile = analytics.build_profile(n, p, theta)
     if trials == 0:
         return ConcentrationSummary(n=n, p=p, theta=theta,
@@ -183,7 +181,7 @@ def concentration_sample(n: int, p: float, theta: float, cap_multiplier: float,
     excess = []
     for t in range(trials):
         g = generate_gnp(GnpParams(n, p, derive_seed(seed, t)))
-        fam = uniform_family(enumerate_isets(g, profile.k0, enumeration_limit), cap)
+        fam = uniform_family(enumerate_isets(g, profile.k0), cap)
         ratios.append(len(fam) / mu)
         excess.append(fam.excess_mass / mu)
     arr = np.array(ratios)

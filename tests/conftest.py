@@ -10,9 +10,11 @@ package's array-based versions to them.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import numpy as np
 
@@ -90,6 +92,22 @@ def brute_chromatic(g: Graph) -> int:
         if brute_colorable(g, k):
             return k
     raise AssertionError("unreachable")
+
+
+def density_audit_reference(g: Graph, p: float, epsilon: float) -> tuple:
+    """Every (subset, size, edges) with 2 <= size <= s_max whose edge count
+    exceeds bound * size, by scanning all subsets and all pairs inside them;
+    sizes ascending, subsets in lexicographic order."""
+    log_np = math.log(g.n * p)
+    s_max = min(g.n, math.floor(epsilon * g.n / (16.0 * log_np)))
+    bound = epsilon * g.n * p / (8.0 * log_np)
+    out = []
+    for s in range(2, s_max + 1):
+        for subset in combinations(range(g.n), s):
+            edges = sum(g.has_edge(u, v) for u, v in combinations(subset, 2))
+            if edges > bound * s:
+                out.append((subset, s, edges))
+    return tuple(out)
 
 
 # --- graph I/O reference oracles ---------------------------------------

@@ -9,6 +9,7 @@ from chromres import (
     EdgeSet,
     GnpParams,
     Graph,
+    SearchBudgetError,
     SizeLimitError,
     bounded_degree_h,
     chromatic_exact,
@@ -219,3 +220,12 @@ class TestLocalOracle:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             local_resilience_oracle(Graph.empty(12), 1, 1)
+
+    def test_node_budget(self):
+        # the DFS reaches its first leaf (a perfect matching of K8's 28
+        # non-edges) at node 29
+        with pytest.raises(SearchBudgetError):
+            local_resilience_witness(Graph.empty(8), 1, 1, node_budget=28)
+        delta, witness = local_resilience_witness(Graph.empty(8), 1, 1, node_budget=29)
+        assert delta == 1
+        assert witness.sorted_pairs() == [(0, 1), (2, 3), (4, 5), (6, 7)]

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chromres import (
     EdgeSet,
@@ -14,10 +18,12 @@ from chromres import (
     generate_gnp,
     parse_config,
     run_experiment,
+    to_edge_list,
     union,
 )
 from chromres.cli import main as cli_main
 from chromres.lab import comparable_table, csv_to_rows
+from conftest import density_audit_reference
 
 
 def gnp(n, p, seed):
@@ -51,16 +57,38 @@ class TestDensityAudit:
             recount = sum((g.rows[v] & mask).bit_count() for v in subset) // 2
             assert recount == edges > report.bound_per_vertex * size
 
-    def test_reproducible_across_workers(self):
+    def test_reproducible_across_runs(self):
         g = union(gnp(18, 0.12, 4), EdgeSet.from_pairs(
             (u, v) for u in range(5) for v in range(u + 1, 5)))
-        reports = [density_audit(g, 0.12, 5.0, workers=w) for w in (1, 2, 1)]
+        reports = [density_audit(g, 0.12, 5.0) for _ in range(3)]
         assert reports[0] == reports[1] == reports[2]
 
     def test_sampled_mode_not_exhaustive(self):
         report = density_audit(gnp(40, 0.12, 7), 0.12, 5.0,
                                mode="sampled", samples=50, seed=3)
         assert not report.exhaustive
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_mode_needs_samples(self, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            density_audit(gnp(40, 0.12, 7), 0.12, 5.0, mode="sampled", samples=samples)
+
+    # np just above 1 keeps s_max large against the bound, so about half the
+    # examples check some size and a fifth find violations
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(11, 15), p=st.sampled_from([0.1, 0.12, 0.15]),
+           epsilon=st.floats(0.5, 3.0), graph_seed=st.integers(0, 2**32),
+           clique=st.integers(0, 6), sample_seed=st.integers(0, 2**32))
+    def test_matches_brute_force(self, n, p, epsilon, graph_seed, clique, sample_seed):
+        g = union(gnp(n, p, graph_seed), EdgeSet.from_pairs(combinations(range(clique), 2)))
+        s_max = min(n, math.floor(epsilon * n / (16.0 * math.log(n * p))))
+        assume(sum(math.comb(n, s) for s in range(2, s_max + 1)) <= 6000)
+        expected = density_audit_reference(g, p, epsilon)
+        report = density_audit(g, p, epsilon)
+        assert report.exhaustive and report.violations == expected
+        sampled = density_audit(g, p, epsilon, mode="sampled", samples=30, seed=sample_seed)
+        assert sampled.checked_sizes == report.checked_sizes
+        assert set(sampled.violations) <= set(expected)
 
     def test_budget_guard(self):
         from chromres.lab import AuditBudgetError
@@ -75,6 +103,10 @@ class TestDensityAudit:
 
 
 class TestConcentrationSample:
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            concentration_sample(30, 0.5, 1.0, 4.0, -1, 0)
+
     def test_zero_trials_empty_summary(self):
         summary = concentration_sample(40, 0.5, 1.0, 4.0, trials=0, seed=1)
         assert summary.trials == 0 and summary.ratios == ()
@@ -243,6 +275,15 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["exhaustive"] is True
 
+    def test_sampled_audit_needs_samples(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "40", "--p", "0.12", "--seed", "7",
+                         "--out", str(p)]) == 0
+        assert cli_main(["audit", str(p), "--p", "0.12", "--epsilon", "5.0",
+                         "--mode", "sampled"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples >= 1" in captured.err
+
     def test_experiment_exit_codes(self, tmp_path):
         ok_cfg = tmp_path / "ok.cfg"
         ok_cfg.write_text("n=14\np=0.5\nseeds=0,1\nstrategy=none\nexact_limit=0\n")
@@ -267,3 +308,17 @@ class TestCli:
                          "--m-max", "5", "--edges-out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "5 3" and len(lines) == 4
+
+    @pytest.mark.parametrize("attack", [
+        ["--strategy", "plant_clique", "--t", "6"],
+        ["--strategy", "plant_clique", "--t", "0"],
+        ["--strategy", "bounded_degree", "--delta", "2", "--seed", "4"],
+    ])
+    def test_attack_edges_out(self, tmp_path, capsys, attack):
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "12", "--p", "0.5", "--seed", "1",
+                         "--out", str(p)]) == 0
+        out = tmp_path / "added.txt"
+        assert cli_main(["attack", str(p), *attack, "--edges-out", str(out)]) == 0
+        pairs = [tuple(pr) for pr in json.loads(capsys.readouterr().out)["edges"]]
+        assert out.read_text() == to_edge_list(Graph.from_edges(12, pairs))

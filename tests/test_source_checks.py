@@ -1,12 +1,16 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and its README."""
 
 from __future__ import annotations
 
 import ast
 import glob
 import os
+import shlex
 
+from chromres.cli import build_parser
 from conftest import SRC
+
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
 
 def _bare_asserts(path: str) -> list[int]:
@@ -28,3 +32,16 @@ def test_no_bare_asserts_in_package():
     assert paths
     found = {os.path.basename(p): lines for p in paths if (lines := _bare_asserts(p))}
     assert not found, f"assert statements that python -O would strip: {found}"
+
+
+def test_readme_cli_lines_parse():
+    """Every `chromres ...` line of README's CLI block names only subcommands
+    and flags the parser accepts, so a removed flag cannot linger there."""
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("chromres ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
