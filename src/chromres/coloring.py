@@ -41,23 +41,28 @@ class Coloring:
 
 
 def verify_coloring(g: Graph, c: Coloring) -> bool:
-    """True iff c is proper on g and its color indices are contiguous from 0."""
-    if len(c.colors) != g.n:
-        raise ValueError(f"coloring labels {len(c.colors)} vertices, graph has {g.n}")
-    used = set()
-    for v in range(g.n):
-        col = c.colors[v]
+    """True iff c is proper on g and its color indices are contiguous from 0.
+
+    Raises ValueError when c labels a different number of vertices, and
+    names the first vertex left uncolored unless an edge whose lower end is
+    below that vertex joins two equal colors (then the answer is False).
+    """
+    colors = c.colors
+    if len(colors) != g.n:
+        raise ValueError(f"coloring labels {len(colors)} vertices, graph has {g.n}")
+    classes: dict = {}  # color -> mask of the vertices holding it
+    uncolored = g.n
+    for v, col in enumerate(colors):
         if col is None:
-            raise ValueError(f"vertex {v} has no color")
-        used.add(col)
-        m = g.rows[v] >> (v + 1)
-        while m:
-            lsb = m & -m
-            w = v + lsb.bit_length()
-            m ^= lsb
-            if c.colors[w] == col:
-                return False
-    return used == set(range(c.num_colors))
+            uncolored = min(uncolored, v)
+        else:
+            classes[col] = classes.get(col, 0) | (1 << v)
+    rows = g.rows
+    if any(rows[v] & classes[colors[v]] for v in range(uncolored)):
+        return False
+    if uncolored < g.n:
+        raise ValueError(f"vertex {uncolored} has no color")
+    return classes.keys() == set(range(c.num_colors))
 
 
 def dsatur(g: Graph) -> Coloring:
@@ -306,7 +311,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     Each round, on the remaining vertex set S (|S| = s > residual threshold):
     enumerate the independent sets of base[S] of the working size (laddered
-    down until non-empty), cap their pair coverage, pick the member with the
+    down until non-empty, and started below any size an earlier ladder of
+    the call found empty), cap their pair coverage, pick the member with the
     fewest added pairs inside, keep its largest union-independent subset via
     the greedy bound, and spend a fresh color on it. Rounds whose remainder
     exceeds family_size_limit, or whose enumeration blows the node budget,
@@ -336,6 +342,12 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     next_color = 0
     remaining = (1 << n) - 1
     k_used = 0
+    # An empty enumeration at k proves alpha <= k - 1 for this and every
+    # later remainder (S only shrinks), so each ladder starts at this bound.
+    # The steps it skips hold no set, and each visits no more nodes than the
+    # empty step that proved the bound, which stayed within node_budget: no
+    # skipped step could have tripped a limit either.
+    alpha_bound = n
 
     while remaining and (s := remaining.bit_count()) > threshold:
         greedy_set = turan_extract(base, remaining)
@@ -349,7 +361,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         planted = 0
         if s <= knobs.family_size_limit:
             fam = None
-            k_try = k_target
+            k_try = min(k_target, alpha_bound)
             while k_try >= 2:
                 try:
                     cand = enumerate_isets(base, k_try, knobs.enumeration_limit,
@@ -367,6 +379,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                     fam = cand
                     break
                 k_try -= 1
+                alpha_bound = k_try
             if fam is not None:
                 route = "enum"
                 _, log_mu0 = expected_counts(s, p, fam.k)

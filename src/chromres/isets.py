@@ -4,7 +4,10 @@ deletion construction, and the sparse-member selector.
 
 All searches run on the bit-packed adjacency rows, restricted to a vertex
 bitmask `within` where given, and use documented, deterministic orderings
-so results are reproducible.
+so results are reproducible. Fixed-size enumeration walks the tree of the
+plain DFS over increasing labels, a block of nodes at a time on packed
+numpy bitsets: the same tree, the same node count and the same
+lexicographic order of sets as the one-node-at-a-time recursion.
 """
 
 from __future__ import annotations
@@ -14,7 +17,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .graph import EdgeSet, Graph
+import numpy as np
+
+from .graph import EdgeSet, Graph, mask_of
+
+
+# Bytes one enumeration step unpacks its parents' candidate bitsets into (one
+# byte per bit, at least one parent); a step makes at most this many children.
+# The rows unpacked at once to build the forward sets take at most as many
+# (at least one row).
+_STEP_BYTES = 1 << 16
 
 
 class SizeLimitError(RuntimeError):
@@ -34,12 +46,15 @@ def _vertex_mask(g: Graph, within: Optional[int]) -> int:
 
 
 def is_independent(g: Graph, vertices) -> bool:
+    """True iff no edge of g joins two of the vertices (repeats allowed);
+    ValueError for a label outside 0..n-1."""
     vs = list(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if g.has_edge(u, v):
-                return False
-    return True
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    mask = mask_of(vs)
+    rows = g.rows
+    return not any(rows[v] & mask for v in vs)
 
 
 def max_independent_set(g: Graph, limit: int = 120,
@@ -187,35 +202,102 @@ def _coverage_of(sets: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
     return cov
 
 
+def _forward_sets(rows: tuple[int, ...], within: int, verts: np.ndarray,
+                  words: int) -> np.ndarray:
+    """fwd[i] is the set of positions j > i whose vertex verts[j] is not
+    adjacent to verts[i], over the ascending labels verts of the mask
+    `within`, packed little-endian into `words` uint64 words per row."""
+    s = len(verts)
+    width = (int(verts[-1]) >> 3) + 1  # bytes holding every label of the mask
+    span = max(1, _STEP_BYTES // (8 * width))  # rows unpacked at once
+    fwd = np.zeros((s, 8 * words), dtype=np.uint8)
+    cols = np.arange(s)
+    for r0 in range(0, s, span):
+        block = verts[r0:r0 + span]
+        blob = b"".join((rows[v] & within).to_bytes(width, "little") for v in block.tolist())
+        adj = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(len(block), width),
+                            axis=1, bitorder="little")[:, verts]
+        above = cols[None, :] > np.arange(r0, r0 + len(block))[:, None]
+        packed = np.packbits(above & (adj == 0), axis=1, bitorder="little")
+        fwd[r0:r0 + len(block), :packed.shape[1]] = packed
+    return fwd.view("<u8")
+
+
 def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
                     node_budget: Optional[int] = None) -> list[tuple[int, ...]]:
-    """DFS over increasing vertex labels; sets come out lexicographically sorted."""
-    out: list[tuple[int, ...]] = []
-    nodes = 0
+    """Every independent k-set of the mask `within`, lexicographically sorted.
 
-    def dfs(cand: int, chosen: list[int], need: int) -> None:
-        nonlocal nodes
-        nodes += 1
+    The search tree is the plain DFS over increasing labels. A node is a
+    chosen prefix and its candidates (the vertices above its last choice
+    adjacent to none of it); a node that still needs `need` vertices has one
+    child for each of its first popcount - need + 1 candidates, and a child
+    is expanded only when it still has at least need - 1 candidates. Every
+    node, the root included, counts toward node_budget.
+
+    The tree is walked depth first a block of same-depth nodes at a time,
+    with candidates as packed uint64 bitsets over the mask's vertices
+    relabelled in ascending order, so a child's candidates are its parent's
+    ANDed with the forward set of its vertex. A step expands the next pending
+    nodes of the top frame, as many as unpack into _STEP_BYTES (at least
+    one), and pushes their children, in (parent, vertex) order, above what
+    is left of that frame: sets come out in the DFS's order, and the stack
+    holds at most one frame per depth. The node and set counts are totals
+    over the same tree, so both limits trip exactly when the DFS's do.
+    """
+    s = within.bit_count()
+    if k > s:
+        return []
+    nodes = 1
+    if node_budget is not None and nodes > node_budget:
+        raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
+    nbytes = (within.bit_length() + 7) >> 3
+    verts = np.flatnonzero(np.unpackbits(np.frombuffer(within.to_bytes(nbytes, "little"),
+                                                       dtype=np.uint8), bitorder="little"))
+    words = (s + 63) >> 6
+    fwd = _forward_sets(rows, within, verts, words)
+    per_step = max(1, _STEP_BYTES // (64 * words))  # parents expanded per step
+    root = np.zeros((1, 8 * words), dtype=np.uint8)
+    root[0, :(s + 7) >> 3] = np.packbits(np.ones(s, dtype=np.uint8), bitorder="little")
+    index_type = np.int16 if s <= np.iinfo(np.int16).max else np.int32
+    out: list[tuple[int, ...]] = []
+    # frame: [candidate bitsets, chosen prefixes, candidate counts, next pending node]
+    stack = [[root.view("<u8"), np.zeros((1, 0), dtype=index_type), np.array([s]), 0]]
+    while stack:
+        frame = stack[-1]
+        cands, prefix, pcs, start = frame
+        stop = start + per_step
+        if stop >= len(pcs):
+            stop = len(pcs)
+            stack.pop()
+        else:
+            frame[3] = stop
+        need = k - prefix.shape[1]
+        pc = pcs[start:stop]
+        counts = pc - (need - 1)  # children of each parent
+        born = int(counts.sum())
+        nodes += born
         if node_budget is not None and nodes > node_budget:
             raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
-        if need == 0:
-            out.append(tuple(chosen))
-            if len(out) > limit:
-                raise EnumerationLimitError(f"more than {limit} independent sets")
-            return
-        c = cand
-        while c:
-            if c.bit_count() < need:
-                return
-            lsb = c & -c
-            v = lsb.bit_length() - 1
-            c ^= lsb
-            chosen.append(v)
-            dfs(c & ~rows[v], chosen, need - 1)
-            chosen.pop()
-
-    if k <= within.bit_count():
-        dfs(within, [], k)
+        if need == 1 and len(out) + born > limit:
+            raise EnumerationLimitError(f"more than {limit} independent sets")
+        parents = cands[start:stop]
+        bits = np.unpackbits(parents.view(np.uint8), bitorder="little").view(bool)
+        pidx, v = np.divmod(np.flatnonzero(bits), 64 * words)
+        if need > 1:  # keep each parent's first `counts` candidates
+            keep = np.arange(len(v)) - (np.cumsum(pc) - pc)[pidx] < counts[pidx]
+            pidx, v = pidx[keep], v[keep]
+        chosen = np.empty((born, prefix.shape[1] + 1), dtype=index_type)
+        chosen[:, :-1] = prefix[start:stop][pidx]
+        chosen[:, -1] = v
+        if need == 1:
+            out.extend(map(tuple, verts[chosen].tolist()))
+            continue
+        child = parents[pidx]
+        child &= fwd[v]
+        cpc = np.bitwise_count(child).sum(axis=1, dtype=np.int64)
+        live = cpc >= need - 1
+        if live.any():
+            stack.append([child[live], chosen[live], cpc[live], 0])
     return out
 
 

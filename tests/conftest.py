@@ -4,8 +4,9 @@ The oracles here deliberately avoid the package's search machinery: subsets
 are enumerated by bitmask, colorings by plain recursive assignment in vertex
 order, so they stay valid yardsticks for the clever implementations. The
 `*_reference` functions generate, write and parse graphs one pair at a time
-with Python ints; the differential tests in `test_graph_io.py` hold the
-package's array-based versions to them.
+with Python ints, enumerate independent sets by a recursive DFS and check
+colorings edge by edge; the differential tests hold the package's
+array-based versions to them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from chromres import GnpParams, Graph, GraphFormatError
+from chromres import EnumerationLimitError, GnpParams, Graph, GraphFormatError
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -108,6 +109,96 @@ def density_audit_reference(g: Graph, p: float, epsilon: float) -> tuple:
             if edges > bound * s:
                 out.append((subset, s, edges))
     return tuple(out)
+
+
+# --- search and coloring reference oracles -----------------------------
+
+
+def enumerate_sets_reference(rows, within: int, k: int, limit: int,
+                             node_budget=None) -> list[tuple[int, ...]]:
+    """Recursive DFS over increasing vertex labels; sets come out
+    lexicographically sorted. Every visited node counts toward node_budget."""
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def dfs(cand: int, chosen: list[int], need: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
+        if need == 0:
+            out.append(tuple(chosen))
+            if len(out) > limit:
+                raise EnumerationLimitError(f"more than {limit} independent sets")
+            return
+        c = cand
+        while c:
+            if c.bit_count() < need:
+                return
+            lsb = c & -c
+            v = lsb.bit_length() - 1
+            c ^= lsb
+            chosen.append(v)
+            dfs(c & ~rows[v], chosen, need - 1)
+            chosen.pop()
+
+    if k <= within.bit_count():
+        dfs(within, [], k)
+    return out
+
+
+def count_dfs_nodes_reference(rows, within: int, k: int) -> tuple[list[tuple[int, ...]], int]:
+    """The same DFS without limits: its sets and its node total N (so a node
+    budget of N - 1 must raise and N must not)."""
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def dfs(cand: int, chosen: list[int], need: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if need == 0:
+            out.append(tuple(chosen))
+            return
+        c = cand
+        while c and c.bit_count() >= need:
+            lsb = c & -c
+            v = lsb.bit_length() - 1
+            c ^= lsb
+            chosen.append(v)
+            dfs(c & ~rows[v], chosen, need - 1)
+            chosen.pop()
+
+    if k <= within.bit_count():
+        dfs(within, [], k)
+    return out, nodes
+
+
+def is_independent_reference(g: Graph, vertices) -> bool:
+    """Pairwise has_edge over every pair of the given vertices."""
+    vs = list(vertices)
+    return not any(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+
+
+def verify_coloring_reference(g: Graph, colors, num_colors: int) -> bool:
+    """Edge by edge: True iff no edge joins two equal colors and the colors
+    used are exactly 0..num_colors-1; ValueError on a length mismatch or an
+    uncolored vertex."""
+    if len(colors) != g.n:
+        raise ValueError(f"coloring labels {len(colors)} vertices, graph has {g.n}")
+    used = set()
+    for v in range(g.n):
+        col = colors[v]
+        if col is None:
+            raise ValueError(f"vertex {v} has no color")
+        used.add(col)
+        m = g.rows[v] >> (v + 1)
+        while m:
+            lsb = m & -m
+            w = v + lsb.bit_length()
+            m ^= lsb
+            if colors[w] == col:
+                return False
+    return used == set(range(num_colors))
 
 
 # --- graph I/O reference oracles ---------------------------------------

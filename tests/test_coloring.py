@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromres import (
     Coloring,
@@ -24,7 +25,8 @@ from chromres import (
     union,
     verify_coloring,
 )
-from conftest import brute_chromatic, brute_colorable, path, petersen
+from chromres import coloring as coloring_module
+from conftest import brute_chromatic, brute_colorable, path, petersen, verify_coloring_reference
 
 
 def gnp(n, p, seed):
@@ -156,6 +158,35 @@ class TestVerifyColoring:
         with pytest.raises(ValueError):
             verify_coloring(Graph.empty(3), Coloring((0, 0), 1))
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["proper", "improper", "gap", "short", "none"]))
+    def test_matches_edge_by_edge_reference(self, seed, kind):
+        rng = random.Random(seed)
+        n = rng.randint(0, 30)
+        g = gnp(n, rng.choice([0.1, 0.5, 0.9]), rng.randrange(1000)) if n else Graph.empty(0)
+        colors = list(dsatur(g).colors)
+        num = max(colors, default=-1) + 1
+        if kind == "improper" or (kind == "none" and rng.random() < 0.5):
+            num = rng.randint(1, 4)
+            colors = [rng.randrange(num) for _ in range(n)]
+        if kind == "gap" and n:
+            colors = [c + (c >= num // 2) for c in colors]
+        elif kind == "short" and n:
+            del colors[rng.randrange(n)]
+        elif kind == "none" and n:
+            for v in rng.sample(range(n), rng.randint(1, min(3, n))):
+                colors[v] = None
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(verify_coloring, g, Coloring(tuple(colors), num)) == \
+            outcome(verify_coloring_reference, g, colors, num)
+
 
 class TestStripColor:
     def test_empty_base_single_color(self):
@@ -237,3 +268,33 @@ class TestStripColor:
         assert d["i0"] == trace.i0
         assert sum(d["bucket_counts"]) + d["residual_colors"] == \
             sum(trace.bucket_counts) + trace.residual_colors
+
+
+def test_ladder_starts_at_proven_alpha_bound(monkeypatch):
+    # plant_clique G(150) with the lab's default clique (t = 22)
+    base = gnp(150, 0.5, 1)
+    added = plant_clique(base, range(22))
+    calls = []
+    real = coloring_module.enumerate_isets
+
+    def spy(g, k, *args, within=None, **kwargs):
+        fam = real(g, k, *args, within=within, **kwargs)
+        calls.append((within.bit_count(), k, len(fam)))
+        return fam
+
+    monkeypatch.setattr(coloring_module, "enumerate_isets", spy)
+    _, trace = strip_color(base, added, 1.0, build_profile(150, 0.5, 1.0))
+    proven = None  # smallest size proven empty so far
+    for _, k, found in calls:
+        assert proven is None or k < proven
+        if not found:
+            proven = k
+    # the steps the old ladder ran from k_target down, all of them empty
+    skipped = 0
+    for s, k_target, route, _, _ in trace.rounds:
+        if route in ("family", "enum"):
+            first_k = next(k for size, k, _ in calls if size == s)
+            skipped += k_target - first_k
+    empty = sum(1 for _, _, found in calls if not found)
+    assert skipped > 0
+    assert empty / len(calls) < (empty + skipped) / (len(calls) + skipped)

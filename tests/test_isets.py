@@ -21,11 +21,30 @@ from chromres import (
     turan_extract,
     uniform_family,
 )
-from conftest import brute_alpha, petersen, run_python
+from conftest import brute_alpha, is_independent_reference, petersen, run_python
 
 
 def gnp(n, p, seed):
     return generate_gnp(GnpParams(n, p, seed))
+
+
+class TestIsIndependent:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_pairwise_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        g = gnp(n, rng.choice([0.05, 0.3, 0.7]), rng.randrange(1000))
+        size = rng.randint(0, 6)
+        # a subset of an independent set, or any vertices; repeats allowed
+        pool = list(turan_extract(g)) if rng.random() < 0.5 else list(range(n))
+        vs = [rng.choice(pool) for _ in range(size)]
+        assert is_independent(g, vs) == is_independent_reference(g, vs)
+
+    @pytest.mark.parametrize("vs", [[0, 10**6], [600], [-1], [3, -1]])
+    def test_label_out_of_range(self, vs):
+        with pytest.raises(ValueError):
+            is_independent(Graph.empty(600), vs)
 
 
 class TestMaxIndependentSet:
