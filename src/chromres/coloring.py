@@ -2,11 +2,14 @@
 
 chromatic_exact is the oracle (branch-and-bound over k-colorability with a
 clique lower bound and DSATUR upper bound). dsatur and degeneracy_color are
-the deterministic heuristics. strip_color builds a proper coloring of
-base+added by repeatedly pulling a nearly-maximal independent set of the
-base graph that contains few added pairs, refining it to an independent set
-of the union, and spending one color on it; the small residue is finished
-with the degeneracy coloring.
+the deterministic heuristics. dsatur and the k-colorability search
+(find_coloring) keep their vertex-choice key packed into one integer per
+vertex and update it as vertices are colored (and, in the search, uncolored),
+so each pick is one C-level scan of a list for its maximum. strip_color
+builds a proper coloring of base+added by repeatedly pulling a
+nearly-maximal independent set of the base graph that contains few added
+pairs, refining it to an independent set of the union, and spending one
+color on it; the small residue is finished with the degeneracy coloring.
 """
 
 from __future__ import annotations
@@ -69,7 +72,10 @@ def dsatur(g: Graph) -> Coloring:
     """Saturation-degree greedy coloring.
 
     Vertex choice: highest saturation, then highest degree among uncolored
-    vertices, then lowest index. Fully deterministic.
+    vertices, then lowest index. Fully deterministic. That key is kept
+    packed as one integer per vertex, sat*n^2 + udeg*n + (n-1-u) (-1 once
+    colored), updated as each vertex is colored, so a pick is one scan of a
+    list for its maximum.
     """
     n = g.n
     if n == 0:
@@ -77,28 +83,25 @@ def dsatur(g: Graph) -> Coloring:
     rows = g.rows
     colors: list[int] = [-1] * n
     neigh_colors: list[set[int]] = [set() for _ in range(n)]
-    uncolored = (1 << n) - 1
+    score = [rows[u].bit_count() * n + (n - 1 - u) for u in range(n)]
+    sat_step = n * n
     for _ in range(n):
-        best_v = -1
-        best_key = (-1, -1, 0)
-        for u in range(n):
-            if colors[u] >= 0:
-                continue
-            key = (len(neigh_colors[u]), (rows[u] & uncolored).bit_count(), -u)
-            if key > best_key:
-                best_key, best_v = key, u
+        v = score.index(max(score))
         c = 0
-        while c in neigh_colors[best_v]:
+        while c in neigh_colors[v]:
             c += 1
-        colors[best_v] = c
-        uncolored &= ~(1 << best_v)
-        m = rows[best_v]
+        colors[v] = c
+        score[v] = -1
+        m = rows[v]
         while m:
             lsb = m & -m
             w = lsb.bit_length() - 1
             m ^= lsb
             if colors[w] < 0:
-                neigh_colors[w].add(c)
+                score[w] -= n  # one uncolored neighbour fewer
+                if c not in neigh_colors[w]:
+                    neigh_colors[w].add(c)
+                    score[w] += sat_step
     return Coloring(tuple(colors), max(colors) + 1)
 
 
@@ -168,8 +171,14 @@ def greedy_clique(g: Graph) -> int:
 def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     """A proper k-coloring of g, or None if none exists.
 
-    Backtracking with DSATUR-style dynamic vertex choice and the standard
-    symmetry break (a vertex may open at most one fresh color index).
+    Backtracking with DSATUR-style dynamic vertex choice (most distinct
+    neighbour colors, then highest degree, then lowest index) and the
+    standard symmetry break (a vertex may open at most one fresh color
+    index). The choice key is kept packed as one integer per vertex,
+    sat*n^2 + degree*n + (n-1-u) with sat the number of distinct neighbour
+    colors (-1 once colored), updated and undone with each vertex's bitmask
+    of neighbour colors, so a pick is one scan of a list for its maximum. A
+    vertex's neighbour list is built the first time it is colored.
     """
     n = g.n
     if n == 0:
@@ -177,47 +186,47 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     if k <= 0:
         return None
     rows = g.rows
+    nbrs: list = [None] * n  # neighbour lists, each built when first needed
+    score = [rows[u].bit_count() * n + (n - 1 - u) for u in range(n)]
+    sat_step = n * n
     colors = [-1] * n
-    neigh_colors: list[set[int]] = [set() for _ in range(n)]
-
-    def pick() -> int:
-        best_v, best_key = -1, (-1, -1, 0)
-        for u in range(n):
-            if colors[u] >= 0:
-                continue
-            key = (len(neigh_colors[u]), rows[u].bit_count(), -u)
-            if key > best_key:
-                best_key, best_v = key, u
-        return best_v
-
-    def assign(v: int, c: int, undo: list[int]) -> None:
-        colors[v] = c
-        m = rows[v]
-        while m:
-            lsb = m & -m
-            w = lsb.bit_length() - 1
-            m ^= lsb
-            if colors[w] < 0 and c not in neigh_colors[w]:
-                neigh_colors[w].add(c)
-                undo.append(w)
+    seen = [0] * n  # bit c set: a colored neighbour holds color c
 
     def solve(remaining: int, max_used: int) -> bool:
         if remaining == 0:
             return True
-        v = pick()
-        if len(neigh_colors[v]) >= k:
+        v = score.index(max(score))
+        taken = seen[v]
+        if taken.bit_count() >= k:
             return False
+        saved, score[v] = score[v], -1
+        nb = nbrs[v]
+        if nb is None:
+            m, nb = rows[v], []
+            while m:
+                lsb = m & -m
+                nb.append(lsb.bit_length() - 1)
+                m ^= lsb
+            nbrs[v] = nb
         top = min(k - 1, max_used + 1)
         for c in range(top + 1):
-            if c in neigh_colors[v]:
+            bit = 1 << c
+            if taken & bit:
                 continue
+            colors[v] = c
             undo: list[int] = []
-            assign(v, c, undo)
+            for w in nb:
+                if not seen[w] & bit and colors[w] < 0:
+                    seen[w] |= bit
+                    score[w] += sat_step
+                    undo.append(w)
             if solve(remaining - 1, max(max_used, c)):
                 return True
-            colors[v] = -1
             for w in undo:
-                neigh_colors[w].discard(c)
+                seen[w] ^= bit
+                score[w] -= sat_step
+        colors[v] = -1
+        score[v] = saved
         return False
 
     if not solve(n, -1):

@@ -7,7 +7,10 @@ bitmask `within` where given, and use documented, deterministic orderings
 so results are reproducible. Fixed-size enumeration walks the tree of the
 plain DFS over increasing labels, a block of nodes at a time on packed
 numpy bitsets: the same tree, the same node count and the same
-lexicographic order of sets as the one-node-at-a-time recursion.
+lexicographic order of sets as the one-node-at-a-time recursion. The
+maximum independent set search runs on bitsets over the mask's vertices
+relabelled in its cover order and builds its clique-cover bound one class
+at a time, the classes of first-fit in that order.
 """
 
 from __future__ import annotations
@@ -60,13 +63,19 @@ def is_independent(g: Graph, vertices) -> bool:
 def max_independent_set(g: Graph, limit: int = 120,
                         within: Optional[int] = None) -> tuple[int, ...]:
     """Exact maximum independent set of the vertex mask `within` (default:
-    all of g) via branch-and-bound.
+    all of g) via branch-and-bound, started from the turan_extract set.
 
-    Pruning bound: greedy clique cover of the candidate set (any clique
-    contributes at most one vertex to an independent set). Branching order
-    is vertices by descending degree inside `within`, ties by index, so the
-    result is deterministic. Raises SizeLimitError when `within` holds more
-    than `limit` vertices.
+    Pruning bound: a greedy clique cover of the candidate set (a clique
+    holds at most one vertex of an independent set). The cover takes the
+    candidates in the cover order, descending degree inside `within` with
+    ties by label, and builds one class at a time: a class starts at the
+    first candidate left and takes, in order, every candidate adjacent to
+    all its members so far (the classes of first-fit in that order). The
+    search branches on the candidates from the highest class to the lowest,
+    by descending label inside a class, and stops at the first class whose
+    index cannot beat the incumbent. Bitsets run over the mask's vertices
+    relabelled in cover order, so a class is built by lowest-bit steps.
+    Raises SizeLimitError when `within` holds more than `limit` vertices.
     """
     top = _vertex_mask(g, within)
     size = top.bit_count()
@@ -74,47 +83,62 @@ def max_independent_set(g: Graph, limit: int = 120,
         raise SizeLimitError(f"n={size} exceeds exact-search limit {limit}")
     if size == 0:
         return ()
-    rows = g.rows
-    order = sorted((v for v in range(g.n) if (top >> v) & 1),
+    rows, n = g.rows, g.n
+    order = sorted((v for v in range(n) if (top >> v) & 1),
                    key=lambda v: (-(rows[v] & top).bit_count(), v))
+    pos = {v: i for i, v in enumerate(order)}
+    adj = []  # adj[i]: the neighbours of order[i] inside `within`, as positions
+    for v in order:
+        m, row = rows[v] & top, 0
+        while m:
+            lsb = m & -m
+            m ^= lsb
+            row |= 1 << pos[lsb.bit_length() - 1]
+        adj.append(row)
 
     best = list(turan_extract(g, top))  # greedy start, never empty for size >= 1
     best_size = len(best)
-    cur: list[int] = []
+    cur: list[int] = []  # positions
 
     def expand(cand: int) -> None:
         nonlocal best, best_size
-        # Greedy clique cover of cand. Sorted by cover-class index, each
-        # candidate's bound (index+1) covers every candidate still
-        # unprocessed when the reversed loop reaches it.
-        cliques: list[int] = []
-        labeled: list[tuple[int, int]] = []
-        for v in order:
-            if not (cand >> v) & 1:
-                continue
-            for ci in range(len(cliques)):
-                if (cliques[ci] >> v) & 1:
-                    cliques[ci] &= rows[v]
-                    labeled.append((ci + 1, v))
-                    break
-            else:
-                cliques.append(rows[v])
-                labeled.append((len(cliques), v))
-        labeled.sort()
-        for bound, v in reversed(labeled):
-            if len(cur) + bound <= best_size:
+        # Clique cover of cand, one class at a time: a class starts at the
+        # lowest position left and repeatedly takes the lowest position
+        # adjacent to all its members so far. A class's index bounds what its
+        # members can add. Classes up to `floor` are built but not listed:
+        # best_size only grows below, so they are never branched on.
+        depth = len(cur)
+        floor = best_size - depth
+        bound = 0
+        rest = cand
+        listed: list[int] = []  # class * n + label
+        while rest:
+            bound += 1
+            q = rest
+            while q:
+                lsb = q & -q
+                i = lsb.bit_length() - 1
+                rest ^= lsb
+                q &= adj[i]
+                if bound > floor:
+                    listed.append(bound * n + order[i])
+        listed.sort()
+        for key in reversed(listed):
+            bound, v = divmod(key, n)
+            if depth + bound <= best_size:
                 return
-            cur.append(v)
-            ncand = cand & ~(rows[v] | (1 << v))
+            i = pos[v]
+            cur.append(i)
+            ncand = cand & ~(adj[i] | (1 << i))
             if ncand:
                 expand(ncand)
-            elif len(cur) > best_size:
-                best = cur.copy()
-                best_size = len(cur)
+            elif depth + 1 > best_size:
+                best = [order[j] for j in cur]
+                best_size = depth + 1
             cur.pop()
-            cand &= ~(1 << v)
+            cand &= ~(1 << i)
 
-    expand(top)
+    expand((1 << size) - 1)
     result = tuple(sorted(best))
     if not is_independent(g, result):
         raise AssertionError(f"max_independent_set returned a dependent set {result}")

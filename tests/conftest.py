@@ -4,9 +4,11 @@ The oracles here deliberately avoid the package's search machinery: subsets
 are enumerated by bitmask, colorings by plain recursive assignment in vertex
 order, so they stay valid yardsticks for the clever implementations. The
 `*_reference` functions generate, write and parse graphs one pair at a time
-with Python ints, enumerate independent sets by a recursive DFS and check
-colorings edge by edge; the differential tests hold the package's
-array-based versions to them.
+with Python ints, enumerate independent sets by a recursive DFS, check
+colorings edge by edge, and run the exact searches with a first-fit clique
+cover and vertex choices that scan every vertex at every node; the
+differential tests hold the package's bitset and incremental versions to
+them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from chromres import EnumerationLimitError, GnpParams, Graph, GraphFormatError
+from chromres import (
+    Coloring,
+    EnumerationLimitError,
+    GnpParams,
+    Graph,
+    GraphFormatError,
+    SizeLimitError,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -199,6 +208,140 @@ def verify_coloring_reference(g: Graph, colors, num_colors: int) -> bool:
             if colors[w] == col:
                 return False
     return used == set(range(num_colors))
+
+
+def max_independent_set_reference(g: Graph, limit: int = 120, within=None) -> tuple[int, ...]:
+    """Branch and bound with a first-fit greedy clique cover over the
+    vertices in descending degree inside `within` (ties by label), branching
+    on candidates sorted by (cover class, label) from the last, started from
+    the greedy minimum-degree strip (lowest label among ties)."""
+    n = g.n
+    top = (1 << n) - 1 if within is None else within
+    if top >> n:
+        raise ValueError(f"vertex mask {top:#x} has bits outside 0..{n - 1}")
+    size = top.bit_count()
+    if size > limit:
+        raise SizeLimitError(f"n={size} exceeds exact-search limit {limit}")
+    if size == 0:
+        return ()
+    rows = g.rows
+    order = sorted((v for v in range(n) if (top >> v) & 1),
+                   key=lambda v: (-(rows[v] & top).bit_count(), v))
+    best: list[int] = []
+    alive = top
+    while alive:
+        v = min((u for u in range(n) if (alive >> u) & 1),
+                key=lambda u: ((rows[u] & alive).bit_count(), u))
+        best.append(v)
+        alive &= ~(rows[v] | (1 << v))
+    best_size = len(best)
+    cur: list[int] = []
+
+    def expand(cand: int) -> None:
+        nonlocal best, best_size
+        cliques: list[int] = []
+        labeled: list[tuple[int, int]] = []
+        for v in order:
+            if not (cand >> v) & 1:
+                continue
+            for ci in range(len(cliques)):
+                if (cliques[ci] >> v) & 1:
+                    cliques[ci] &= rows[v]
+                    labeled.append((ci + 1, v))
+                    break
+            else:
+                cliques.append(rows[v])
+                labeled.append((len(cliques), v))
+        labeled.sort()
+        for bound, v in reversed(labeled):
+            if len(cur) + bound <= best_size:
+                return
+            cur.append(v)
+            ncand = cand & ~(rows[v] | (1 << v))
+            if ncand:
+                expand(ncand)
+            elif len(cur) > best_size:
+                best = cur.copy()
+                best_size = len(cur)
+            cur.pop()
+            cand &= ~(1 << v)
+
+    expand(top)
+    return tuple(sorted(best))
+
+
+def find_coloring_reference(g: Graph, k: int):
+    """Backtracking k-coloring: the next vertex maximizes (distinct neighbour
+    colors, degree, -label) over a scan of every vertex; a vertex may open
+    at most one fresh color. Colors tidied to first-use rank."""
+    n = g.n
+    if n == 0:
+        return Coloring((), 0)
+    if k <= 0:
+        return None
+    rows = g.rows
+    colors = [-1] * n
+    neigh_colors: list[set[int]] = [set() for _ in range(n)]
+
+    def pick() -> int:
+        best_v, best_key = -1, (-1, -1, 0)
+        for u in range(n):
+            if colors[u] >= 0:
+                continue
+            key = (len(neigh_colors[u]), rows[u].bit_count(), -u)
+            if key > best_key:
+                best_key, best_v = key, u
+        return best_v
+
+    def solve(remaining: int, max_used: int) -> bool:
+        if remaining == 0:
+            return True
+        v = pick()
+        if len(neigh_colors[v]) >= k:
+            return False
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if c in neigh_colors[v]:
+                continue
+            colors[v] = c
+            undo = [w for w in g.neighbors(v) if colors[w] < 0 and c not in neigh_colors[w]]
+            for w in undo:
+                neigh_colors[w].add(c)
+            if solve(remaining - 1, max(max_used, c)):
+                return True
+            colors[v] = -1
+            for w in undo:
+                neigh_colors[w].discard(c)
+        return False
+
+    if not solve(n, -1):
+        return None
+    used = sorted(set(colors))
+    remap = {c: i for i, c in enumerate(used)}
+    return Coloring(tuple(remap[c] for c in colors), len(used))
+
+
+def dsatur_reference(g: Graph) -> Coloring:
+    """DSATUR with a full scan per step for the maximum of (saturation,
+    uncolored degree, -label)."""
+    n = g.n
+    if n == 0:
+        return Coloring((), 0)
+    rows = g.rows
+    colors = [-1] * n
+    neigh_colors: list[set[int]] = [set() for _ in range(n)]
+    uncolored = (1 << n) - 1
+    for _ in range(n):
+        v = max((u for u in range(n) if colors[u] < 0),
+                key=lambda u: (len(neigh_colors[u]), (rows[u] & uncolored).bit_count(), -u))
+        c = 0
+        while c in neigh_colors[v]:
+            c += 1
+        colors[v] = c
+        uncolored &= ~(1 << v)
+        for w in g.neighbors(v):
+            if colors[w] < 0:
+                neigh_colors[w].add(c)
+    return Coloring(tuple(colors), max(colors) + 1)
 
 
 # --- graph I/O reference oracles ---------------------------------------

@@ -1,0 +1,116 @@
+"""The exact searches return exactly what their first-fit, full-scan
+references in conftest return: the same maximum independent set (a search
+that branches in another order finds another set of the same size), the same
+k-coloring or None, and the same DSATUR coloring."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chromres import (
+    GnpParams,
+    Graph,
+    SizeLimitError,
+    dsatur,
+    find_coloring,
+    generate_gnp,
+    max_independent_set,
+)
+from conftest import (
+    brute_chromatic,
+    dsatur_reference,
+    find_coloring_reference,
+    max_independent_set_reference,
+)
+
+DIFF = settings(max_examples=120, derandomize=True, deadline=None)
+
+
+def _gnp(n: int, p: float, seed: int) -> Graph:
+    return generate_gnp(GnpParams(n, p, seed))
+
+
+def _scattered(n: int, count: int, seed: int) -> int:
+    """Mask of `count` labels drawn from 0..n-1, weighted toward the top."""
+    rng = random.Random(seed)
+    labels = rng.sample(range(n // 3, n), min(count, n - n // 3))
+    return sum(1 << v for v in labels)
+
+
+# (n, p, vertices in the mask; None for the whole graph)
+MIS_CASES = [
+    (200, 0.1, 0), (200, 0.1, 1), (200, 0.1, 45),
+    (200, 0.5, 0), (200, 0.5, 1), (200, 0.5, 110),
+    (200, 0.9, 1), (200, 0.9, 120),
+    (120, 0.5, None), (60, 0.3, None), (40, 0.9, None), (30, 0.1, None),
+]
+
+
+@pytest.mark.parametrize("n,p,count", MIS_CASES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_max_independent_set_matches_reference(n, p, count, seed):
+    g = _gnp(n, p, seed)
+    within = None if count is None else _scattered(n, count, seed)
+    assert max_independent_set(g, limit=200, within=within) == \
+        max_independent_set_reference(g, limit=200, within=within)
+
+
+@DIFF
+@given(st.integers(0, 2**32 - 1))
+def test_max_independent_set_matches_reference_on_small_masks(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    g = _gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), rng.randrange(10**6))
+    within = rng.getrandbits(n) if rng.random() < 0.7 else None
+    assert max_independent_set(g, limit=n, within=within) == \
+        max_independent_set_reference(g, limit=n, within=within)
+
+
+@pytest.mark.parametrize("count", [1, 30])
+def test_size_limit_edge(count):
+    g = _gnp(90, 0.5, 3)
+    within = _scattered(90, count, 3)
+    for search in (max_independent_set, max_independent_set_reference):
+        with pytest.raises(SizeLimitError):
+            search(g, limit=count - 1, within=within)
+    assert max_independent_set(g, limit=count, within=within) == \
+        max_independent_set_reference(g, limit=count, within=within)
+
+
+# (n, p, graph seeds): instances where k = chi - 1 needs backtracking to refute
+COLORING_CASES = [(40, 0.5, (1,)), (30, 0.5, (1, 2)), (40, 0.2, (1,)), (40, 0.8, (1,)),
+                  (20, 0.5, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("n,p,seeds", COLORING_CASES)
+def test_find_coloring_matches_reference(n, p, seeds):
+    for seed in seeds:
+        g = _gnp(n, p, seed)
+        chi = next(k for k in range(n + 1) if find_coloring_reference(g, k) is not None)
+        outcomes = set()
+        for k in [0, *range(max(1, chi - 2), chi + 2)]:
+            got = find_coloring(g, k)
+            assert got == find_coloring_reference(g, k)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}  # both colorable and uncolorable k
+
+
+@DIFF
+@given(st.integers(0, 2**32 - 1))
+def test_find_coloring_matches_reference_on_small_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 12)
+    g = _gnp(n, rng.choice([0.2, 0.5, 0.8]), rng.randrange(10**6)) if n else Graph.empty(0)
+    chi = brute_chromatic(g)
+    for k in [0, *range(max(1, chi - 2), chi + 2)]:
+        assert find_coloring(g, k) == find_coloring_reference(g, k)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_dsatur_matches_reference(p):
+    for n in [*range(0, 41), 60, 100, 150]:
+        g = _gnp(n, p, 1000 + n) if n else Graph.empty(0)
+        assert dsatur(g) == dsatur_reference(g)
