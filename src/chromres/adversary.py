@@ -4,7 +4,11 @@ The oracles are exhaustive ground truth at tiny n: both run one search over
 candidate edge additions in a documented order of classes (global: edge
 count ascending, colexicographic within a class; local: degree cap Delta
 ascending, maximal bounded subsets in include-first DFS order), so the first
-hit is minimal, and they never approximate.
+hit is minimal, and they never approximate. Every chi_cap-coloring the
+search finds joins a pool, and a candidate that some pooled coloring leaves
+proper is skipped without a search: adding its pairs keeps chi <= chi_cap,
+so it cannot be the first hit, and the first hit and its witness are those
+of searching every candidate.
 Strategies (clique planting, random budgets, bounded-degree graphs) scale to
 any n the graph module handles.
 """
@@ -16,7 +20,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .coloring import chromatic_exact, find_coloring
+from .coloring import Coloring, chromatic_exact, find_coloring, verify_coloring
 from .graph import EdgeSet, Graph, union
 from .isets import SizeLimitError
 
@@ -113,22 +117,50 @@ def _first_defeat(g: Graph, chi_cap: int,
     None if no candidate does.
 
     Each class is a value with its candidate pair tuples, all non-edges of g.
-    A candidate with no pair monochromatic under one fixed chi_cap-coloring
-    of g leaves that coloring proper, so it is skipped untested.
+    Every chi_cap-coloring found on the way (first of g, then of g plus each
+    candidate searched) joins a pool, and `split` maps each non-edge of g to
+    the bitmask of pooled colorings that give its ends different colors. A
+    candidate whose pairs' masks share a bit leaves that coloring proper, so
+    chi stays <= chi_cap and it is skipped unsearched. Only candidates that
+    cannot defeat the cap are skipped, so the first defeat, its value and its
+    witness are those of searching every candidate in order. Each coloring
+    is checked proper before it joins, since every later skip rests on it.
     """
     if chromatic_exact(g) > chi_cap:
         return 0, EdgeSet(frozenset())
+    non_edges = g.non_edges()
+    split = dict.fromkeys(non_edges, 0)
+    bit = 1
+
+    def admit(h: Graph, coloring: Coloring) -> None:
+        nonlocal bit
+        if coloring.num_colors > chi_cap or not verify_coloring(h, coloring):
+            raise AssertionError(f"pooled coloring is not a proper {chi_cap}-coloring")
+        colors = coloring.colors
+        for u, v in non_edges:
+            if colors[u] != colors[v]:
+                split[u, v] |= bit
+        bit <<= 1
+
     base_coloring = find_coloring(g, chi_cap)
     if base_coloring is None:
         raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
-    colors = base_coloring.colors
+    admit(g, base_coloring)
     for value, candidates in classes:
         for pairs in candidates:
-            if not any(colors[u] == colors[v] for u, v in pairs):
+            common = -1
+            for pair in pairs:
+                common &= split[pair]
+                if not common:
+                    break
+            if common:
                 continue
             e = EdgeSet(frozenset(pairs))
-            if find_coloring(union(g, e), chi_cap) is None:
+            h = union(g, e)
+            coloring = find_coloring(h, chi_cap)
+            if coloring is None:
                 return value, e
+            admit(h, coloring)
     return None
 
 
@@ -155,40 +187,70 @@ def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: in
                              node_budget: int) -> Iterator[tuple]:
     """Maximal subsets of non_edges with every vertex in at most delta pairs.
 
-    Include/exclude DFS in list order; leaves whose excluded edges could still
-    be added are dominated by another leaf and skipped. Chromatic number is
-    monotone under edge addition, so testing maximal sets only is exhaustive.
-    """
-    deg = [0] * n
-    chosen: list[tuple[int, int]] = []
-    chosen_set: set[tuple[int, int]] = set()
-    nodes = 0
+    Include/exclude DFS in list order, include first; leaves whose excluded
+    edges could still be added are dominated by another leaf and skipped.
+    Chromatic number is monotone under edge addition, so testing maximal sets
+    only is exhaustive. SearchBudgetError when the walk visits more than
+    node_budget nodes (one per pair index reached on a path, plus the leaf).
 
-    def dfs(i: int) -> Iterator[tuple]:
-        nonlocal nodes
+    The walk runs on an explicit stack: `stack` holds the indices of the
+    pairs included on the current path, and a leaf pops the deepest one and
+    resumes at its exclude child, so the nodes, their count and their order
+    are those of the recursive DFS. Chosen pairs are kept as per-vertex
+    bitmask rows (`taken`) and the vertices still below delta as the mask
+    `open_`; a leaf is maximal iff no open vertex has an open non-edge
+    partner it has not taken.
+    """
+    ends = [(u, v, 1 << u, 1 << v) for u, v in non_edges]
+    free = [0] * n  # free[u]: u's partners in non_edges
+    for u, v, bu, bv in ends:
+        free[u] |= bv
+        free[v] |= bu
+    taken = [0] * n
+    deg = [0] * n
+    open_ = (1 << n) - 1 if delta > 0 else 0
+    stack: list[int] = []
+    nodes = 0
+    i = 0
+    m = len(ends)
+    while True:
         nodes += 1
         if nodes > node_budget:
-            raise SearchBudgetError(f"local oracle exceeded {node_budget} nodes")
-        if i == len(non_edges):
-            for u, v in non_edges:
-                if (u, v) not in chosen_set and deg[u] < delta and deg[v] < delta:
-                    return  # dominated: some excluded edge still fits
-            yield tuple(chosen)
+            raise SearchBudgetError(
+                f"local oracle exceeded {node_budget} nodes at Delta={delta}")
+        if i < m:
+            u, v, bu, bv = ends[i]
+            if open_ & bu and open_ & bv:
+                taken[u] |= bv
+                taken[v] |= bu
+                deg[u] += 1
+                deg[v] += 1
+                if deg[u] == delta:
+                    open_ ^= bu
+                if deg[v] == delta:
+                    open_ ^= bv
+                stack.append(i)
+            i += 1
+            continue
+        w = open_
+        while w:
+            lsb = w & -w
+            u = lsb.bit_length() - 1
+            if free[u] & ~taken[u] & open_:
+                break  # dominated: some excluded edge still fits
+            w ^= lsb
+        else:
+            yield tuple(non_edges[j] for j in stack)
+        if not stack:
             return
-        u, v = non_edges[i]
-        if deg[u] < delta and deg[v] < delta:
-            chosen.append((u, v))
-            chosen_set.add((u, v))
-            deg[u] += 1
-            deg[v] += 1
-            yield from dfs(i + 1)
-            chosen.pop()
-            chosen_set.discard((u, v))
-            deg[u] -= 1
-            deg[v] -= 1
-        yield from dfs(i + 1)
-
-    yield from dfs(0)
+        i = stack.pop()
+        u, v, bu, bv = ends[i]
+        taken[u] ^= bv
+        taken[v] ^= bu
+        deg[u] -= 1
+        deg[v] -= 1
+        open_ |= bu | bv
+        i += 1
 
 
 def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,

@@ -23,11 +23,16 @@ import numpy as np
 
 from chromres import (
     Coloring,
+    EdgeSet,
     EnumerationLimitError,
     GnpParams,
     Graph,
     GraphFormatError,
+    SearchBudgetError,
     SizeLimitError,
+    chromatic_exact,
+    find_coloring,
+    union,
 )
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -342,6 +347,65 @@ def dsatur_reference(g: Graph) -> Coloring:
             if colors[w] < 0:
                 neigh_colors[w].add(c)
     return Coloring(tuple(colors), max(colors) + 1)
+
+
+# --- resilience oracle references --------------------------------------
+
+
+def first_defeat_reference(g: Graph, chi_cap: int, classes):
+    """First (value, EdgeSet) of `classes` whose pairs added to g push chi
+    above chi_cap, (0, empty) if chi(g) already does, None if none does.
+    Skips a candidate only when one fixed chi_cap-coloring of g leaves all
+    its pairs bichromatic; every other candidate gets a fresh union and
+    find_coloring."""
+    if chromatic_exact(g) > chi_cap:
+        return 0, EdgeSet(frozenset())
+    base_coloring = find_coloring(g, chi_cap)
+    colors = base_coloring.colors
+    for value, candidates in classes:
+        for pairs in candidates:
+            if not any(colors[u] == colors[v] for u, v in pairs):
+                continue
+            e = EdgeSet(frozenset(pairs))
+            if find_coloring(union(g, e), chi_cap) is None:
+                return value, e
+    return None
+
+
+def maximal_bounded_subsets_reference(non_edges, n: int, delta: int, node_budget: int,
+                                      visits=None):
+    """Recursive include-first DFS over non_edges in list order, yielding the
+    subsets with every vertex in at most delta pairs that no excluded pair
+    could extend. Every call is one node; SearchBudgetError past node_budget.
+    When `visits` is a list, the running node count of this walk is kept in
+    a new last entry."""
+    deg = [0] * n
+    chosen: list[tuple[int, int]] = []
+    counts = [] if visits is None else visits
+    counts.append(0)
+
+    def dfs(i: int):
+        counts[-1] += 1
+        if counts[-1] > node_budget:
+            raise SearchBudgetError(f"local oracle exceeded {node_budget} nodes")
+        if i == len(non_edges):
+            for u, v in non_edges:
+                if (u, v) not in chosen and deg[u] < delta and deg[v] < delta:
+                    return  # dominated: some excluded edge still fits
+            yield tuple(chosen)
+            return
+        u, v = non_edges[i]
+        if deg[u] < delta and deg[v] < delta:
+            chosen.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+            yield from dfs(i + 1)
+            chosen.pop()
+            deg[u] -= 1
+            deg[v] -= 1
+        yield from dfs(i + 1)
+
+    yield from dfs(0)
 
 
 # --- graph I/O reference oracles ---------------------------------------
