@@ -8,8 +8,9 @@ returns a new value, so instances are safe to share across threads.
 
 Bulk graph I/O runs on numpy arrays rather than per pair: the generator draws
 its random stream in fixed-size blocks, the writers unpack each row's upper
-neighbours at once, and the parsers tokenize blocks of text and check all
-their edges as arrays. Every path that turns a list of pairs into rows
+neighbours at once, and the parsers read blocks of text as arrays of code
+points (one tokenizer for both formats, no Python string per token) and check
+all their edges as arrays. Every path that turns a list of pairs into rows
 (generator, parsers, Graph.from_edges) goes through _rows_from_pairs, which
 packs the bits into bounded blocks of rows and counts distinct edges by
 popcount.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -341,6 +343,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 # Both parsers read integers with int() semantics, reject a vertex count
 # above _MAX_VERTICES, and reject a repeated edge (in either order for
 # DIMACS): the number of distinct pairs must equal the number of edge lines.
+# Tokens and lines are those of str.split() and str.splitlines(). The parsers
+# share one tokenizer (_Block): each block of text becomes a UTF-32 code-point
+# array, whitespace and line breaks become masks, tokens are the mask's runs,
+# and each token's line is a count of the breaks before it. Line structure is
+# checked on those line numbers, and only endpoint tokens are read as values:
+# short ASCII digit runs as arrays, every other token by int().
 
 
 def _edge_text(g: Graph, header: str, prefix: str, base: int) -> str:
@@ -367,38 +375,108 @@ def to_dimacs(g: Graph) -> str:
     return _edge_text(g, f"p edge {g.n} {g.edge_count}", "e ", 1)
 
 
-def _text_blocks(text: str) -> Iterator[tuple[list[str], np.ndarray, list[str]]]:
-    """Split text into pieces of about _TEXT_BLOCK_CHARS characters, each cut
-    just after a newline, and yield for each piece its lines (as
-    str.splitlines gives them), every line's token count and all its tokens.
+# Code points above 127 at which str.split() cuts, and those of them at which
+# str.splitlines() also ends a line; below 128 both sets are a few ranges
+# (see _classify). Pinned against str.isspace and str.splitlines for every
+# code point by tests/test_graph_io.py.
+_WIDE_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+                         0x205F, 0x3000], dtype=np.uint32)
+_WIDE_BREAKS = np.array([0x85, 0x2028, 0x2029], dtype=np.uint32)
+# Longest token of ASCII digits whose value the column pass computes; every
+# value below 10^18 fits int64.
+_FAST_DIGITS = 18
 
-    Every line boundary is whitespace, so the tokens are the lines' tokens
-    in order, and cutting after a newline splits no line.
+
+def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(space, brk) for uint32 code points: whether str.split treats each as
+    whitespace, and whether str.splitlines ends a line at it."""
+    space = (codes - 9 < 5) | (codes - 28 < 5)  # \t\n\v\f\r, \x1c-\x1f and " "
+    brk = (codes - 10 < 4) | (codes - 28 < 3)  # \n\v\f\r and \x1c-\x1e
+    wide = np.flatnonzero(codes > 127)
+    if wide.size:
+        space[wide] = np.isin(codes[wide], _WIDE_SPACES)
+        brk[wide] = np.isin(codes[wide], _WIDE_BREAKS)
+    return space, brk
+
+
+class _Block:
+    """A piece of text tokenized on its code points: token k is
+    text[starts[k]:ends[k]], a maximal run of non-whitespace, and lies on
+    line lines[k] of the piece.
+
+    Lines are numbered by counting line breaks, so a CR LF pair opens an
+    empty line between its two breaks; that line holds no token, so two
+    tokens share a number exactly when str.splitlines puts them on one line.
     """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        space, brk = _classify(self.codes)
+        self.line_at = np.cumsum(brk, dtype=np.int32)  # a break opens the next line
+        flips = np.flatnonzero(np.diff(space, prepend=True, append=True))
+        self.starts, self.ends = flips[0::2], flips[1::2]
+        self.lines = self.line_at[self.starts]
+
+    def line_text(self, line: int) -> str:
+        """The text of the given line number, stripped."""
+        a, b = np.searchsorted(self.line_at, (line, line + 1))
+        return self.text[a:b].strip()
+
+    def values(self, tokens: slice | np.ndarray) -> np.ndarray:
+        """int64 values of the tokens selected by tokens (a slice or ascending
+        indices), as int() reads them; raise GraphFormatError naming the line
+        of the first one that is not an integer or does not fit.
+
+        Tokens of at most _FAST_DIGITS ASCII digits are summed column by
+        column, least significant digit first; every other one goes through
+        int().
+        """
+        starts, ends = self.starts[tokens], self.ends[tokens]
+        sizes = ends - starts
+        value = np.zeros(len(starts), dtype=np.int64)
+        fast = sizes <= _FAST_DIGITS
+        at = ends - 1
+        for j in range(min(int(sizes.max(initial=0)), _FAST_DIGITS)):
+            # past a token's first digit, re-read that digit and add nothing
+            digit = self.codes[np.maximum(at, starts)] - 48
+            fast &= digit < 10
+            value += np.where(sizes > j, digit, 0).astype(np.int64) * 10 ** j
+            at -= 1
+        for k in np.flatnonzero(~fast).tolist():
+            try:
+                value[k] = int(self.text[starts[k]:ends[k]])
+            except (ValueError, OverflowError) as exc:
+                line = self.line_text(self.lines[tokens][k])
+                raise GraphFormatError(f"bad edge line {line!r}") from exc
+        return value
+
+
+def _blocks(text: str) -> Iterator[_Block]:
+    """text in pieces of about _TEXT_BLOCK_CHARS characters, each cut just
+    after a newline. A newline is a line break and whitespace, so no line or
+    token spans two pieces."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _TEXT_BLOCK_CHARS)
         end = len(text) if end < 0 else end + 1
-        block = text[start:end]
-        lines = block.splitlines()
-        counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
-        yield lines, counts, block.split()
+        yield _Block(text[start:end])
         start = end
 
 
-def _int64s(tokens: Iterable[str], lines: Iterable[str]) -> np.ndarray:
-    """tokens as int64; when one is not an integer or does not fit, raise
-    GraphFormatError naming the first of lines whose last two tokens (the
-    edge endpoints) fail the same way."""
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        for ln in lines:
-            try:
-                np.array(ln.split()[-2:], dtype=np.int64)
-            except (ValueError, OverflowError):
-                raise GraphFormatError(f"bad edge line {ln.strip()!r}") from exc
-        raise GraphFormatError(f"bad edge endpoint: {exc}") from exc
+def _first_unpaired(lines: np.ndarray) -> int | None:
+    """Index of the first token not on a line of exactly two tokens, given
+    every token's (ascending) line number; None when all are paired, that is
+    when tokens 2i and 2i+1 share a line and tokens 2i+1 and 2i+2 do not."""
+    split = lines[1:] != lines[:-1]  # token k+1 opens a line
+    alone = np.flatnonzero(split[0::2])  # token 2i ends its line
+    crowded = np.flatnonzero(~split[1::2])  # token 2i+1 does not
+    firsts = [2 * int(alone[0])] if alone.size else []
+    if crowded.size:
+        firsts.append(2 * int(crowded[0]) + 1)
+    if len(lines) % 2:
+        firsts.append(len(lines) - 1)
+    return min(firsts, default=None)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -419,13 +497,12 @@ def _parsed_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
 def parse_edge_list(text: str) -> Graph:
     head = None
     ends = []
-    for lines, counts, tokens in _text_blocks(text):
+    for block in _blocks(text):
+        skip = 0  # tokens before the block's first edge token: the header's two, once
         if head is None:
-            filled = np.flatnonzero(counts)
-            if not filled.size:
+            if not block.lines.size:
                 continue
-            first = int(filled[0])
-            head = lines[first].strip()
+            head = block.line_text(block.lines[0])
             parts = head.split()
             if len(parts) != 2:
                 raise GraphFormatError(f"bad header {head!r}, expected 'n m'")
@@ -434,11 +511,12 @@ def parse_edge_list(text: str) -> Graph:
             except ValueError as exc:
                 raise GraphFormatError(f"bad header {head!r}") from exc
             _check_vertex_count(n)
-            lines, counts, tokens = lines[first + 1:], counts[first + 1:], tokens[2:]
-        bad = np.flatnonzero((counts != 0) & (counts != 2))
-        if bad.size:
-            raise GraphFormatError(f"bad edge line {lines[bad[0]].strip()!r}")
-        ends.append(_int64s(tokens, lines))
+            skip = 2
+        lines = block.lines[skip:]
+        bad = _first_unpaired(lines)
+        if bad is not None:
+            raise GraphFormatError(f"bad edge line {block.line_text(lines[bad])!r}")
+        ends.append(block.values(slice(skip, None)))
     if head is None:
         raise GraphFormatError("empty input")
     uv = np.concatenate(ends).reshape(-1, 2)
@@ -456,18 +534,19 @@ def parse_edge_list(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     problem = None
     ends = []
-    for lines, counts, tokens in _text_blocks(text):
-        filled = np.flatnonzero(counts)
-        at = (np.cumsum(counts) - counts)[filled]  # first token of each non-blank line
-        tok = np.array(tokens, dtype=object)
-        heads = tok[at]
-        is_e = heads == "e"
-        is_p = heads == "p"
-        for i in np.flatnonzero(~(is_e | is_p)):
-            if not heads[i].startswith("c"):
-                raise GraphFormatError(f"unrecognized line {lines[filled[i]].strip()!r}")
+    for block in _blocks(text):
+        lines = block.lines
+        first = np.flatnonzero(np.diff(lines, prepend=-1))  # first token of each non-blank line
+        counts = np.diff(first, append=len(lines))
+        lead = block.codes[block.starts[first]]
+        single = block.ends[first] - block.starts[first] == 1
+        is_e = single & (lead == ord("e"))
+        is_p = single & (lead == ord("p"))
+        bad = np.flatnonzero(~(is_e | is_p) & (lead != ord("c")))
+        if bad.size:
+            raise GraphFormatError(f"unrecognized line {block.line_text(lines[first[bad[0]]])!r}")
         for i in np.flatnonzero(is_p):
-            ln = lines[filled[i]].strip()
+            ln = block.line_text(lines[first[i]])
             parts = ln.split()
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise GraphFormatError(f"bad problem line {ln!r}")
@@ -475,12 +554,11 @@ def parse_dimacs(text: str) -> Graph:
                 problem = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"bad problem line {ln!r}") from exc
-        bad = np.flatnonzero(is_e & (counts[filled] != 3))
+        bad = np.flatnonzero(is_e & (counts != 3))
         if bad.size:
-            raise GraphFormatError(f"bad edge line {lines[filled[bad[0]]].strip()!r}")
-        at = at[is_e]
-        ends.append(_int64s(tok[np.stack((at + 1, at + 2), axis=1).ravel()],
-                            (lines[i] for i in filled[is_e])))
+            raise GraphFormatError(f"bad edge line {block.line_text(lines[first[bad[0]]])!r}")
+        at = first[is_e]
+        ends.append(block.values(np.stack((at + 1, at + 2), axis=1).ravel()))
     if problem is None:
         raise GraphFormatError("missing 'p edge n m' line")
     n, m = problem
@@ -502,11 +580,16 @@ def parse_dimacs(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph file, sniffing DIMACS ('c'/'p' prefix) vs edge-list."""
-    with open(path, "r", encoding="ascii") as f:
-        text = f.read()
-    stripped = text.lstrip()
-    if stripped.startswith(("c", "p")):
+    """Read an ASCII graph file, sniffing DIMACS (first non-blank character
+    'c' or 'p') vs edge-list. A file that is not ASCII raises
+    GraphFormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path} is not ASCII text: {exc}") from exc
+    lead = re.search(r"\S", text)  # \S is not str.isspace() on ASCII
+    if lead and lead.group() in "cp":
         return parse_dimacs(text)
     return parse_edge_list(text)
 

@@ -1,5 +1,6 @@
 """Differential tests of the array-based graph I/O against the per-pair
-reference implementations in conftest, plus the parsers' allocation bound.
+reference implementations in conftest, the tokenizer's character classes, the
+parsers' allocation bounds and load_graph's format sniffing and errors.
 
 Hypothesis runs derandomized (a fixed seed per test) with example counts
 sized so that each test takes a few seconds at most.
@@ -7,7 +8,9 @@ sized so that each test takes a few seconds at most.
 
 from __future__ import annotations
 
+import itertools
 import operator
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,11 +23,14 @@ from chromres import (
     Graph,
     GraphFormatError,
     generate_gnp,
+    load_graph,
     parse_dimacs,
     parse_edge_list,
     to_dimacs,
     to_edge_list,
 )
+from chromres.cli import main as cli_main
+from chromres.graph import _TEXT_BLOCK_CHARS, _classify
 from conftest import (
     from_edges_reference,
     generate_gnp_reference,
@@ -185,6 +191,105 @@ def test_parsers_match_reference_on_mutated_text(case):
             parse(text)
 
 
+WIDE_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                   "\x0e", "\x00"]
+WIDE_TOKENS = ["\u0663", "\uff13", "1__0", "_1", str(2**63 - 1), str(2**63), "1" * 25]
+
+
+@st.composite
+def wide_mutated_texts(draw):
+    """(is_dimacs, text): a written graph with up to four mutations: insert a
+    separator, replace a space or newline by one, replace a token, or insert
+    one. The separators are Unicode whitespace, line breaks, a control
+    character and NUL (the last two are not whitespace); the tokens are
+    non-ASCII digits, misplaced underscores and values at and past the int64
+    bound. Some texts then get a blank line that pushes the lines after it
+    across the parsers' block cut."""
+    n = draw(st.integers(1, 12))
+    g = generate_gnp(GnpParams(n, draw(st.sampled_from([0.2, 0.5])), draw(st.integers(0, 9))))
+    dimacs = draw(st.booleans())
+    text = (to_dimacs if dimacs else to_edge_list)(g)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["insert", "replace", "token", "put"]))
+        if op == "insert":
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(WIDE_SEPARATORS)) + text[i:]
+        elif op == "replace":
+            seps = [m.start() for m in re.finditer("[ \n]", text)]
+            if not seps:
+                continue
+            i = draw(st.sampled_from(seps))
+            text = text[:i] + draw(st.sampled_from(WIDE_SEPARATORS)) + text[i + 1:]
+        else:
+            token = draw(st.sampled_from(WIDE_TOKENS))
+            spans = [m.span() for m in re.finditer(r"\S+", text)]
+            if not spans:
+                continue
+            a, b = draw(st.sampled_from(spans))
+            if op == "put":
+                token, b = token + " ", a
+            text = text[:a] + token + text[b:]
+    if draw(st.booleans()):
+        # a blank line ending a few characters before the cut, so that the
+        # lines after it hold the tokens on both sides of it
+        starts = [0] + [m.end() for m in re.finditer("\n", text)]
+        at = draw(st.sampled_from(starts))
+        fill = draw(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"]))
+        width = _TEXT_BLOCK_CHARS - draw(st.integers(0, 30)) - at - 1
+        text = text[:at] + fill * width + "\n" + text[at:]
+    return dimacs, text
+
+
+@fixed(400)
+@given(wide_mutated_texts())
+def test_parsers_match_reference_on_wide_mutations(case):
+    dimacs, text = case
+    parse, reference = ((parse_dimacs, parse_dimacs_reference) if dimacs
+                        else (parse_edge_list, parse_edge_list_reference))
+    want = _outcome(reference, text)
+    if isinstance(want, Graph):
+        assert parse(text) == want
+    else:
+        with pytest.raises(GraphFormatError):
+            parse(text)
+
+
+@pytest.mark.parametrize("parse, reference, text", [
+    (parse_edge_list, parse_edge_list_reference, "4 2\n0 1 2 3\n"),
+    (parse_edge_list, parse_edge_list_reference, "4 2\n0 1\xa02 3\n"),
+    (parse_edge_list, parse_edge_list_reference, "4 2\n0\n1\n2 3\n"),
+    (parse_edge_list, parse_edge_list_reference, "4 2\n0 1\n2 3 \x1e4\n"),
+    (parse_edge_list, parse_edge_list_reference, "4 2 0\n1\n2 3\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\nex 1 2\n"),
+    (parse_dimacs, parse_dimacs_reference, "pp edge 3 1\ne 1 2\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 1 2 e 2 3\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 1\n2\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\n e\u20281 2\n"),
+])
+def test_parsers_reject_lines_of_the_wrong_shape(parse, reference, text):
+    with pytest.raises(GraphFormatError):
+        reference(text)
+    with pytest.raises(GraphFormatError):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_edge_list, "\u2029 4 2\x85\x1f0\u30001\u20282\xa03\x1c\n"),
+    (parse_dimacs, "cx\u2028p\x1fedge 4 2\x85e 1 2\x1de\xa03 4\r\n"),
+])
+def test_parsers_read_unicode_whitespace_and_breaks(parse, text):
+    assert parse(text) == Graph.from_edges(4, [(0, 1), (2, 3)])
+
+
+def test_tokenizer_classes_match_str_methods():
+    chars = "".join(map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000))))
+    space, brk = _classify(np.frombuffer(chars.encode("utf-32-le"), dtype="<u4"))
+    want_space = np.array([ch.isspace() for ch in chars])
+    want_brk = np.array([len(("a" + ch + "b").splitlines()) == 2 for ch in chars])
+    assert [hex(ord(chars[i])) for i in np.flatnonzero(space != want_space)] == []
+    assert [hex(ord(chars[i])) for i in np.flatnonzero(brk != want_brk)] == []
+
+
 def test_parsers_match_reference_across_text_blocks():
     # G(400, 1/2) writes about 330 kB per format: several tokenizer blocks,
     # with blank, CRLF and comment lines spread through them
@@ -240,3 +345,40 @@ def test_large_header_allocates_no_bit_matrix(parse, text):
         tracemalloc.stop()
     assert g == Graph.empty(200000)
     assert peak < 4 << 20, f"peak {peak} bytes"
+
+
+def test_parse_peak_allocation():
+    # 250k edges: the endpoint arrays and their concatenation dominate
+    g = generate_gnp(GnpParams(1000, 0.5, 3))
+    for write, parse in ((to_edge_list, parse_edge_list), (to_dimacs, parse_dimacs)):
+        text = write(g)
+        tracemalloc.start()
+        try:
+            h = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h == g
+        assert peak <= 10 << 20, f"{parse.__name__}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize("text", [
+    "\n \x1c\x1fp edge 3 1\ne 1 3\n",
+    "\t\nc comment\np edge 3 1\ne 1 3\n",
+    "\n\x1f 3 1\n0 2\n",
+])
+def test_load_graph_sniffs_first_non_blank_character(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert load_graph(str(path)) == Graph.from_edges(3, [(0, 2)])
+
+
+@pytest.mark.parametrize("data", [b"3 1\n0 2\xe9\n", b"p edge 3 1\ne 1 \xff3\n"])
+def test_load_graph_rejects_non_ascii(tmp_path, capsys, data):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(str(path))
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+    assert cli_main(["color", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: GraphFormatError: ")
