@@ -109,14 +109,14 @@ def _colex_combinations(items: list, r: int) -> Iterator[tuple]:
             yield rest + (items[last],)
 
 
-def _first_defeat(g: Graph, chi_cap: int,
+def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
                   classes: Iterable[tuple[int, Iterable[tuple]]],
                   ) -> Optional[tuple[int, EdgeSet]]:
     """First (value, candidate) of `classes`, in order, whose pairs added to
     g push chi above chi_cap; (0, empty) if chi(g) already exceeds chi_cap,
     None if no candidate does.
 
-    Each class is a value with its candidate pair tuples, all non-edges of g.
+    Each class is a value with its candidate pair tuples, all in non_edges.
     Every chi_cap-coloring found on the way (first of g, then of g plus each
     candidate searched) joins a pool, and `split` maps each non-edge of g to
     the bitmask of pooled colorings that give its ends different colors. A
@@ -128,7 +128,6 @@ def _first_defeat(g: Graph, chi_cap: int,
     """
     if chromatic_exact(g) > chi_cap:
         return 0, EdgeSet(frozenset())
-    non_edges = g.non_edges()
     split = dict.fromkeys(non_edges, 0)
     bit = 1
 
@@ -172,7 +171,7 @@ def global_resilience_witness(g: Graph, chi_cap: int,
     Search: size classes ascending, colex order within a class.
     """
     non_edges = g.non_edges()
-    return _first_defeat(g, chi_cap, (
+    return _first_defeat(g, chi_cap, non_edges, (
         (size, _colex_combinations(non_edges, size))
         for size in range(1, min(m_max, len(non_edges)) + 1)))
 
@@ -268,7 +267,7 @@ def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
     if g.n > size_limit:
         raise SizeLimitError(f"n={g.n} exceeds local-oracle limit {size_limit}")
     non_edges = g.non_edges()
-    return _first_defeat(g, chi_cap, (
+    return _first_defeat(g, chi_cap, non_edges, (
         (delta, _maximal_bounded_subsets(non_edges, g.n, delta, node_budget))
         for delta in range(1, delta_max + 1)))
 

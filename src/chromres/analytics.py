@@ -14,6 +14,9 @@ from typing import Optional
 
 from .graph import RegimeWarning
 
+# strip_color caps pair coverage at CAP_MULTIPLIER * mu0 (backed in build_profile)
+CAP_MULTIPLIER = 4.0
+
 
 def log_binomial(n: int, k: int) -> float:
     """log C(n, k), exact combinatorics then one correctly-rounded log."""
@@ -146,8 +149,8 @@ def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
             raise AssertionError(f"mu0/mu={ratio} differs from k0(k0-1)/(n(n-1))={exact}")
     if p <= 0.5:
         # the pair-coverage cap 4*mu0 dominates 2*mu0/(1-p) exactly here
-        if 4.0 < 2.0 / (1.0 - p):
-            raise AssertionError(f"cap 4*mu0 is below 2*mu0/(1-p) at p={p}")
+        if CAP_MULTIPLIER < 2.0 / (1.0 - p):
+            raise AssertionError(f"cap {CAP_MULTIPLIER:g}*mu0 is below 2*mu0/(1-p) at p={p}")
     else:
         warnings.warn(
             f"p={p} > 1/2: the default pair-coverage cap has no backing here",

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-from .analytics import AnalyticProfile, compute_k0, expected_counts
+from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
 from .graph import EdgeSet, Graph, induced_subgraph, mask_of, union
 from .isets import (
     EnumerationLimitError,
@@ -38,9 +38,6 @@ class Coloring:
 
     colors: tuple[int, ...]
     num_colors: int
-
-    def to_json(self) -> dict:
-        return {"colors": list(self.colors), "num_colors": self.num_colors}
 
 
 def verify_coloring(g: Graph, c: Coloring) -> bool:
@@ -252,25 +249,28 @@ def chromatic_exact(g: Graph, limit: int = 40) -> int:
     return ub
 
 
+# largest remainder whose blown enumeration falls back to one exact maximum set
+_EXACT_ALPHA_LIMIT = 120
+
+
 @dataclass(frozen=True)
 class StripKnobs:
-    """Centralized configuration for strip_color.
+    """The settings of strip_color.
 
     variant selects the residual threshold: "global" stops stripping at
-    eps*n/(16 log(np)), "local" at n/(log n)^2. family_size_limit gates the
-    enumeration route (rounds on larger remainders go straight to the greedy
-    route). enumeration_limit caps family sizes; node_budget caps the
-    enumeration search tree per round; exact_alpha_limit bounds the exact
-    search used when the working size is unreachable. cap_multiplier scales
-    the pair-coverage cap (cap = multiplier * mu0 of the remainder).
+    eps*n/(16 log(np)), "local" at n/(log n)^2; any other value raises
+    ValueError here. family_size_limit gates the enumeration route (rounds
+    on larger remainders go straight to the greedy route). node_budget caps
+    the enumeration search tree per round.
     """
 
     variant: str = "global"
     family_size_limit: int = 130
-    enumeration_limit: int = 5_000_000
     node_budget: int = 2_000_000
-    exact_alpha_limit: int = 120
-    cap_multiplier: float = 4.0
+
+    def __post_init__(self) -> None:
+        if self.variant not in ("global", "local"):
+            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -299,14 +299,6 @@ class ColoringTrace:
         return asdict(self)
 
 
-def _residual_threshold(n: int, p: float, epsilon: float, variant: str) -> float:
-    if variant == "global":
-        return epsilon * n / (16.0 * math.log(n * p))
-    if variant == "local":
-        return n / (math.log(n) ** 2)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def _bucket_index(n: int, s: int, i0: int) -> int:
     # bucket i covers remainder sizes in (2^-i n, 2^-i+1 n]
     i = math.floor(math.log2(n / s)) + 1
@@ -321,18 +313,20 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     Each round, on the remaining vertex set S (|S| = s > residual threshold):
     enumerate the independent sets of base[S] of the working size (laddered
     down until non-empty, and started below any size an earlier ladder of
-    the call found empty), cap their pair coverage, pick the member with the
-    fewest added pairs inside, keep its largest union-independent subset via
-    the greedy bound, and spend a fresh color on it. Rounds whose remainder
-    exceeds family_size_limit, or whose enumeration blows the node budget,
-    fall back to the greedy route and are flagged in the trace. The residue
-    is colored by degeneracy_color.
+    the call found empty), cap their pair coverage at CAP_MULTIPLIER * mu0
+    of S, pick the member with the fewest added pairs inside, keep its
+    largest union-independent subset via the greedy bound, and spend a fresh
+    color on it. Rounds whose remainder exceeds family_size_limit fall back
+    to the greedy route. A round whose enumeration blows node_budget takes
+    one exact maximum independent set when s <= _EXACT_ALPHA_LIMIT and the
+    greedy route otherwise; both are flagged in the trace. The residue is
+    colored by degeneracy_color. ValueError unless epsilon > 0.
 
     S is held as a bitmask over the original vertex labels and every search
     runs on that mask of base or of the union, never on a relabelled copy;
     the residue is the one induced subgraph built per call.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     if profile.k0 is None or profile.k is None:
         raise ValueError("profile lacks k0/k; compute it for np > 1 and a reachable theta")
@@ -341,7 +335,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     added.check_range(base.n)
     n, p, theta = base.n, profile.p, profile.theta
     full = union(base, added)
-    threshold = _residual_threshold(n, p, epsilon, knobs.variant)
+    threshold = (n / (math.log(n) ** 2) if knobs.variant == "local"
+                 else epsilon * n / (16.0 * math.log(n * p)))
     i0 = max(0, math.ceil(math.log2(n / threshold))) if threshold < n else 0
     buckets = [0] * i0
     flags: list[str] = []
@@ -350,7 +345,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     colors: list[int] = [-1] * n
     next_color = 0
     remaining = (1 << n) - 1
-    k_used = 0
     # An empty enumeration at k proves alpha <= k - 1 for this and every
     # later remainder (S only shrinks), so each ladder starts at this bound.
     # The steps it skips hold no set, and each visits no more nodes than the
@@ -362,8 +356,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         greedy_set = turan_extract(base, remaining)
         k_target = max(profile.k, compute_k0(s, p, theta) or 1, len(greedy_set))
         k_target = min(k_target, s)
-        if k_used == 0:
-            k_used = k_target
 
         route = "greedy"
         chosen: tuple[int, ...] = greedy_set
@@ -373,13 +365,13 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
             k_try = min(k_target, alpha_bound)
             while k_try >= 2:
                 try:
-                    cand = enumerate_isets(base, k_try, knobs.enumeration_limit,
-                                           node_budget=knobs.node_budget, within=remaining)
+                    cand = enumerate_isets(base, k_try, node_budget=knobs.node_budget,
+                                           within=remaining)
                 except EnumerationLimitError:
                     flags.append(f"enumeration-budget@s={s}")
-                    if s <= knobs.exact_alpha_limit:
+                    if s <= _EXACT_ALPHA_LIMIT:
                         # the family is out of reach but one maximum set is not
-                        chosen = max_independent_set(base, knobs.exact_alpha_limit,
+                        chosen = max_independent_set(base, _EXACT_ALPHA_LIMIT,
                                                      within=remaining)
                         route = "exact-alpha"
                         flags.append(f"exact-alpha-fallback@s={s}")
@@ -392,7 +384,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
             if fam is not None:
                 route = "enum"
                 _, log_mu0 = expected_counts(s, p, fam.k)
-                capped = uniform_family(fam, knobs.cap_multiplier * math.exp(log_mu0))
+                capped = uniform_family(fam, CAP_MULTIPLIER * math.exp(log_mu0))
                 if capped.sets:
                     fam = capped
                     route = "family"
@@ -433,7 +425,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         bucket_counts=tuple(buckets),
         i0=i0,
         residual_colors=residual_colors,
-        k_used=k_used,
+        k_used=rounds[0][1] if rounds else 0,
         residual_threshold=threshold,
         fidelity_flags=tuple(flags),
         rounds=tuple(rounds),

@@ -98,6 +98,10 @@ class Graph:
     rows: tuple[int, ...]
     edge_count: int
 
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
+
     @classmethod
     def empty(cls, n: int) -> "Graph":
         return cls(n, (0,) * n, 0)

@@ -26,10 +26,13 @@ import numpy as np
 from . import analytics
 from .adversary import bounded_degree_h, plant_clique, random_budget
 from .coloring import StripKnobs, chromatic_exact, dsatur, strip_color, verify_coloring
-from .graph import EdgeSet, Graph, GnpParams, generate_gnp, union
+from .graph import EdgeSet, Graph, GnpParams, generate_gnp, mask_of, union
 from .isets import enumerate_isets, uniform_family
 
 RESULT_SCHEMA_VERSION = 1
+
+# Most subsets an exhaustive density audit may enumerate.
+_AUDIT_BUDGET = 20_000_000
 
 
 class AuditBudgetError(RuntimeError):
@@ -69,28 +72,26 @@ class DensityReport:
 
 
 def _edges_inside(g: Graph, subset: tuple[int, ...]) -> int:
-    mask = 0
-    for v in subset:
-        mask |= 1 << v
+    mask = mask_of(subset)
     return sum((g.rows[v] & mask).bit_count() for v in subset) // 2
 
 
 def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
-                  samples: int = 0, seed: int = 0,
-                  exhaustive_budget: int = 20_000_000) -> DensityReport:
+                  samples: int = 0, seed: int = 0) -> DensityReport:
     """Check that every (or a sampled set of) small subset spans few edges.
 
     Thresholds: subsets of size s <= s_max = eps*n/(16 log(np)) may contain
     at most (eps*n*p/(8 log(np))) * s edges. Exhaustive mode enumerates every
-    non-trivial size (error if the subset count exceeds the budget); sampled
-    mode draws `samples` >= 1 subsets per size from PCG64([seed, s]) and can
-    only find violations, never certify their absence. Sizes are scanned in
-    ascending order, subsets in the order their source yields them.
+    non-trivial size (AuditBudgetError if the subset count exceeds
+    _AUDIT_BUDGET); sampled mode draws `samples` >= 1 subsets per size from
+    PCG64([seed, s]) and can only find violations, never certify their
+    absence. Sizes are scanned in ascending order, subsets in the order their
+    source yields them. ValueError unless np > 1 and epsilon > 0.
     """
     n = g.n
     if n * p <= 1.0:
         raise ValueError("density audit needs np > 1")
-    if epsilon <= 0:
+    if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
     log_np = math.log(n * p)
     s_max = math.floor(epsilon * n / (16.0 * log_np))
@@ -102,9 +103,9 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
 
     if mode == "exhaustive":
         total = sum(math.comb(n, s) for s in sizes)
-        if total > exhaustive_budget:
+        if total > _AUDIT_BUDGET:
             raise AuditBudgetError(
-                f"{total} subsets across sizes {sizes} exceed budget {exhaustive_budget}")
+                f"{total} subsets across sizes {sizes} exceed budget {_AUDIT_BUDGET}")
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled audit needs samples >= 1, got {samples}")
@@ -288,17 +289,13 @@ def run_row(config: ExperimentConfig, n: int, p: float, seed: int) -> dict:
     """One (n, p, seed) trial; errors are captured per-row, not raised."""
     from . import __version__  # deferred: the package init imports this module
 
-    row: dict = {
+    row: dict = dict.fromkeys(CSV_COLUMNS, "") | {
         "schema_version": RESULT_SCHEMA_VERSION,
         "version": __version__,
         "config_hash": config.config_hash(),
         "n": n, "p": p, "seed": seed,
         "strategy": config.strategy,
         "strategy_params": json.dumps(config.params_dict(), sort_keys=True),
-        "base_edges": "", "edges_added": "", "dsatur_colors": "",
-        "strip_colors": "", "strip_residual_colors": "", "exact_chi": "",
-        "predicted_target": "", "working_k": "", "verify_ok": "",
-        "error": "", "wall_ms": "",
         "trace": None,
     }
     started = time.perf_counter()
@@ -425,12 +422,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
     knob_fields = fields.pop("_knobs", None)
     if knob_fields:
-        defaults = StripKnobs()
+        defaults = asdict(StripKnobs())
         kwargs = {}
         for name, value in knob_fields.items():
-            if not hasattr(defaults, name):
+            if name not in defaults:
                 raise ValueError(f"unknown knob {name!r}")
-            current = getattr(defaults, name)
+            current = defaults[name]
             kwargs[name] = type(current)(value) if not isinstance(current, str) else value
         fields["knobs"] = StripKnobs(**kwargs)
     if strat_params:

@@ -230,6 +230,16 @@ class TestStripColor:
         assert verify_coloring(base, coloring)
         assert trace.residual_threshold == pytest.approx(60 / math.log(60) ** 2)
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            StripKnobs(variant="bogus")
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_needs_positive_epsilon(self, epsilon):
+        profile = build_profile(20, 0.5, 1.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            strip_color(gnp(20, 0.5, 1), NO_EDGES, epsilon, profile)
+
     def test_requires_usable_profile(self):
         profile = build_profile(10, 0.05, 1.0)  # np = 0.5: k absent
         with pytest.raises(ValueError):

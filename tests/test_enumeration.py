@@ -5,7 +5,9 @@ same search tree one node at a time. enumerate_isets must return the same
 sets in the same order, and trip its node budget and its set limit at
 exactly the same totals: a node budget of N - 1 raises where N is the
 reference's node total and N does not, and a limit of one set fewer than the
-family raises where the family's own size does not.
+family raises where the family's own size does not. Every set is a leaf of
+the tree below a root that holds none, so a family is always smaller than N:
+a set limit at or above the node budget can never trip first.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ def _raises(fn, *args, **kwargs) -> bool:
 def _check(g, within: int, k: int) -> None:
     sets, nodes = count_dfs_nodes_reference(g.rows, within, k)
     assert enumerate_isets(g, k, within=within).sets == tuple(sets)
+    assert len(sets) < nodes or not nodes
     budgets = [nodes - 1, nodes] if nodes else [0]
     limits = [len(sets) - 1, len(sets)] if sets else [0]
     for budget in budgets:

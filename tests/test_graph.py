@@ -206,3 +206,13 @@ class TestEdgeSet:
     def test_max_degree(self):
         e = EdgeSet.from_pairs([(0, 1), (0, 2), (0, 3), (1, 2)])
         assert e.max_degree() == 3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph.empty(-1),
+    lambda: Graph.from_edges(-1, []),
+    lambda: Graph(-1, (), 0),
+])
+def test_negative_vertex_count_rejected(build):
+    with pytest.raises(ValueError, match="negative vertex count -1"):
+        build()

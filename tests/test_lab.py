@@ -91,15 +91,22 @@ class TestDensityAudit:
         assert set(sampled.violations) <= set(expected)
 
     def test_budget_guard(self):
-        from chromres.lab import AuditBudgetError
+        from chromres.lab import _AUDIT_BUDGET, AuditBudgetError
 
-        g = gnp(26, 0.12, 1)
-        with pytest.raises(AuditBudgetError):
-            density_audit(g, 0.12, 8.0, exhaustive_budget=1000)
+        # sizes 9..15 are non-trivial at (60, 0.12, 8.0); the subset count is
+        # summed before any subset is scanned, so this raises at once
+        assert math.comb(60, 9) > _AUDIT_BUDGET
+        with pytest.raises(AuditBudgetError, match="sizes \\[9, 10, 11, 12, 13, 14, 15\\]"):
+            density_audit(gnp(60, 0.12, 1), 0.12, 8.0)
 
     def test_needs_np_above_one(self):
         with pytest.raises(ValueError):
             density_audit(Graph.empty(5), 0.1, 1.0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_needs_positive_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            density_audit(Graph.empty(20), 0.3, epsilon)
 
 
 class TestConcentrationSample:
@@ -172,6 +179,19 @@ class TestExperiment:
         with pytest.raises(ValueError):
             parse_config("n=10\np=0.5\nseeds=1\nwat=4\n")
 
+    @pytest.mark.parametrize("knob", [
+        "knobs.enumeration_limit=10", "knobs.exact_alpha_limit=10",
+        "knobs.cap_multiplier=40", "knobs.__class__=x"])
+    def test_parse_config_rejects_unknown_knob(self, knob):
+        with pytest.raises(ValueError, match="unknown knob"):
+            parse_config(f"n=10\np=0.5\nseeds=1\n{knob}\n")
+
+    def test_parse_config_rejects_unknown_variant(self):
+        assert parse_config("n=10\np=0.5\nseeds=1\nknobs.variant=local\n"
+                            ).knobs.variant == "local"
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            parse_config("n=10\np=0.5\nseeds=1\nknobs.variant=bogus\n")
+
     def test_rows_verify(self):
         rows = run_experiment(parse_config(CONFIG_TEXT))
         assert len(rows) == 3
@@ -214,6 +234,10 @@ class TestExperiment:
         payload = json.loads(json_path.read_text())
         assert comparable_table(payload["rows"]) == comparable_table(rows)
         assert payload["rows"][0]["trace"] is not None
+
+    def test_nan_epsilon_is_a_row_error(self):
+        rows = run_experiment(parse_config(CONFIG_TEXT.replace("epsilon = 1.0", "epsilon = nan")))
+        assert [row["error"] for row in rows] == ["ValueError: epsilon must be positive"] * 3
 
     def test_per_row_error_capture(self):
         config = parse_config(
@@ -293,6 +317,13 @@ class TestCli:
             "n=6\np=0.5\nseeds=0\nstrategy=random_budget\nstrategy.m=900\n")
         assert cli_main(["experiment", str(bad_cfg)]) == 2
         assert cli_main(["experiment", str(tmp_path / "missing.cfg")]) == 1
+
+    def test_experiment_unknown_variant_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("n=14\np=0.5\nseeds=0\nknobs.variant=bogus\n")
+        assert cli_main(["experiment", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown variant 'bogus'" in captured.err
 
     def test_dimacs_output(self, tmp_path):
         p = tmp_path / "g.col"

@@ -6,7 +6,9 @@ import ast
 import glob
 import os
 import shlex
+from dataclasses import fields
 
+from chromres import StripKnobs
 from chromres.cli import build_parser
 from conftest import SRC
 
@@ -32,6 +34,19 @@ def test_no_bare_asserts_in_package():
     assert paths
     found = {os.path.basename(p): lines for p in paths if (lines := _bare_asserts(p))}
     assert not found, f"assert statements that python -O would strip: {found}"
+
+
+def test_every_strip_knob_is_read():
+    """Each StripKnobs field is read as `knobs.<field>` in coloring.py, so a
+    knob that nothing reads cannot stay settable."""
+    path = os.path.join(SRC, "chromres", "coloring.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "knobs"}
+    unread = {f.name for f in fields(StripKnobs)} - read
+    assert not unread, f"StripKnobs fields nothing reads: {sorted(unread)}"
 
 
 def test_readme_cli_lines_parse():
