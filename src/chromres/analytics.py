@@ -40,7 +40,7 @@ def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if theta <= 0.0:
+    if not theta > 0:  # also rejects NaN
         raise ValueError("theta must be positive")
     log_theta = math.log(theta)
     log_q = math.log1p(-p)
@@ -130,12 +130,8 @@ def working_k(n: int, p: float) -> Optional[int]:
 
 def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
     """Construct and validate the profile for (n, p, theta)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
+    k0 = compute_k0(n, p, theta)  # raises ValueError on a bad p or theta
     b = 1.0 / (1.0 - p)
-    k0 = compute_k0(n, p, theta)
     log_mu = log_mu0 = None
     if k0 is not None and k0 >= 2:
         log_mu, log_mu0 = expected_counts(n, p, k0)

@@ -228,10 +228,8 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
 
     if not solve(n, -1):
         return None
-    used = sorted(set(colors))
-    remap = {c: i for i, c in enumerate(used)}
-    tidy = tuple(remap[c] for c in colors)
-    return Coloring(tidy, len(used))
+    # a vertex opens only color max_used + 1, so the colors used are 0..max
+    return Coloring(tuple(colors), max(colors) + 1)
 
 
 def chromatic_exact(g: Graph, limit: int = 40) -> int:

@@ -344,15 +344,19 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 # DIMACS coloring instances: "p edge n m" header, "e u v" lines, 1-based.
 # The conversion is the bit-exact shift u+1, v+1.
 #
-# Both parsers read integers with int() semantics, reject a vertex count
-# above _MAX_VERTICES, and reject a repeated edge (in either order for
-# DIMACS): the number of distinct pairs must equal the number of edge lines.
-# Tokens and lines are those of str.split() and str.splitlines(). The parsers
-# share one tokenizer (_Block): each block of text becomes a UTF-32 code-point
-# array, whitespace and line breaks become masks, tokens are the mask's runs,
-# and each token's line is a count of the breaks before it. Line structure is
-# checked on those line numbers, and only endpoint tokens are read as values:
-# short ASCII digit runs as arrays, every other token by int().
+# Both parsers read integers with int() semantics. Tokens and lines are those
+# of str.split() and str.splitlines(). The parsers share one tokenizer
+# (_Block): each block of text becomes a UTF-32 code-point array, whitespace
+# and line breaks become masks, tokens are the mask's runs, and each token's
+# line is a count of the breaks before it. They share one line-shape pass
+# (_line_heads: each line's first token and token count), on which each
+# checks its own header and line classes; only endpoint tokens are read as
+# values, short ASCII digit runs as arrays and every other token by int().
+# One validator (_edge_graph) then decides, for both formats, on the 0-based
+# pairs: the header's vertex count (0.._MAX_VERTICES), the edge count, the
+# range, loops and duplicates (the number of distinct pairs must equal the
+# number of edge lines, so a pair repeated in either order is a duplicate).
+# The edge list checks u < v itself.
 
 
 def _edge_text(g: Graph, header: str, prefix: str, base: int) -> str:
@@ -468,32 +472,36 @@ def _blocks(text: str) -> Iterator[_Block]:
         start = end
 
 
-def _first_unpaired(lines: np.ndarray) -> int | None:
-    """Index of the first token not on a line of exactly two tokens, given
-    every token's (ascending) line number; None when all are paired, that is
-    when tokens 2i and 2i+1 share a line and tokens 2i+1 and 2i+2 do not."""
-    split = lines[1:] != lines[:-1]  # token k+1 opens a line
-    alone = np.flatnonzero(split[0::2])  # token 2i ends its line
-    crowded = np.flatnonzero(~split[1::2])  # token 2i+1 does not
-    firsts = [2 * int(alone[0])] if alone.size else []
-    if crowded.size:
-        firsts.append(2 * int(crowded[0]) + 1)
-    if len(lines) % 2:
-        firsts.append(len(lines) - 1)
-    return min(firsts, default=None)
+def _line_heads(block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """(first, counts): the index of the first token of each non-blank line
+    of the block, and the number of tokens on that line."""
+    lines = block.lines
+    opens = np.ones(len(lines), dtype=bool)  # token k is the first of its line
+    np.not_equal(lines[1:], lines[:-1], out=opens[1:])
+    first = np.flatnonzero(opens)
+    return first, np.diff(first, append=len(lines))
 
 
-def _check_vertex_count(n: int) -> None:
+def _edge_graph(n: int, m: int, uv: np.ndarray) -> Graph:
+    """Graph of a header's n and m and the rows of uv, the 0-based endpoint
+    pairs in input order. Rejects an n outside 0.._MAX_VERTICES, a pair count
+    other than m, an endpoint outside 0..n-1, a loop and a repeated edge."""
     if n < 0:
         raise GraphFormatError(f"negative vertex count {n}")
     if n > _MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} exceeds the limit {_MAX_VERTICES}")
-
-
-def _parsed_graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Graph of range-checked, loop-free pairs; rejects repeated edges."""
+    if len(uv) != m:
+        raise GraphFormatError(f"header claims {m} edges, found {len(uv)}")
+    u, v = uv[:, 0], uv[:, 1]
+    # as unsigned, a negative endpoint is at least 2^63: one test covers 0..n-1
+    out = (u.view(np.uint64) >= n) | (v.view(np.uint64) >= n)
+    bad = np.flatnonzero(out | (u == v))
+    if bad.size:
+        i = int(bad[0])
+        what = f"has an endpoint out of range for n={n}" if out[i] else "is a self-loop"
+        raise GraphFormatError(f"edge {i + 1} of {m} {what}")
     rows, count = _rows_from_pairs(n, [(u, v)])
-    if count != len(u):
+    if count != m:
         raise GraphFormatError("duplicate edges in input")
     return Graph(n, rows, count)
 
@@ -502,9 +510,10 @@ def parse_edge_list(text: str) -> Graph:
     head = None
     ends = []
     for block in _blocks(text):
-        skip = 0  # tokens before the block's first edge token: the header's two, once
+        first, counts = _line_heads(block)
+        skip = 0  # lines before the block's first edge line: the header, once
         if head is None:
-            if not block.lines.size:
+            if not first.size:
                 continue
             head = block.line_text(block.lines[0])
             parts = head.split()
@@ -514,25 +523,21 @@ def parse_edge_list(text: str) -> Graph:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise GraphFormatError(f"bad header {head!r}") from exc
-            _check_vertex_count(n)
-            skip = 2
-        lines = block.lines[skip:]
-        bad = _first_unpaired(lines)
-        if bad is not None:
-            raise GraphFormatError(f"bad edge line {block.line_text(lines[bad])!r}")
-        ends.append(block.values(slice(skip, None)))
+            skip = 1
+        bad = np.flatnonzero(counts[skip:] != 2)
+        if bad.size:
+            line = block.lines[first[skip + bad[0]]]
+            raise GraphFormatError(f"bad edge line {block.line_text(line)!r}")
+        ends.append(block.values(slice(2 * skip, None)))
     if head is None:
         raise GraphFormatError("empty input")
     uv = np.concatenate(ends).reshape(-1, 2)
     del ends
-    if len(uv) != m:
-        raise GraphFormatError(f"header claims {m} edges, found {len(uv)}")
-    u, v = uv[:, 0], uv[:, 1]
-    bad = np.flatnonzero((u < 0) | (u >= v) | (v >= n))
+    bad = np.flatnonzero(uv[:, 0] >= uv[:, 1])
     if bad.size:
-        i = bad[0]
-        raise GraphFormatError(f"edge ({u[i]},{v[i]}) violates 0 <= u < v < n={n}")
-    return _parsed_graph(n, u, v)
+        u, v = uv[bad[0]]
+        raise GraphFormatError(f"edge ({u},{v}) violates u < v")
+    return _edge_graph(n, m, uv)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -540,8 +545,7 @@ def parse_dimacs(text: str) -> Graph:
     ends = []
     for block in _blocks(text):
         lines = block.lines
-        first = np.flatnonzero(np.diff(lines, prepend=-1))  # first token of each non-blank line
-        counts = np.diff(first, append=len(lines))
+        first, counts = _line_heads(block)
         lead = block.codes[block.starts[first]]
         single = block.ends[first] - block.starts[first] == 1
         is_e = single & (lead == ord("e"))
@@ -565,22 +569,10 @@ def parse_dimacs(text: str) -> Graph:
         ends.append(block.values(np.stack((at + 1, at + 2), axis=1).ravel()))
     if problem is None:
         raise GraphFormatError("missing 'p edge n m' line")
-    n, m = problem
-    _check_vertex_count(n)
     uv = np.concatenate(ends).reshape(-1, 2)
     del ends
-    if len(uv) != m:
-        raise GraphFormatError(f"header claims {m} edges, found {len(uv)}")
-    u, v = uv[:, 0], uv[:, 1]
-    out = (u < 1) | (u > n) | (v < 1) | (v > n)
-    bad = np.flatnonzero(out | (u == v))
-    if bad.size:
-        i = bad[0]
-        if out[i]:
-            raise GraphFormatError(f"edge ({u[i]},{v[i]}) out of range")
-        raise GraphFormatError(f"self-loop at vertex {u[i]}")
-    uv -= 1
-    return _parsed_graph(n, u, v)
+    uv -= 1  # an int64 endpoint that wraps here lands far above n
+    return _edge_graph(*problem, uv)
 
 
 def load_graph(path: str) -> Graph:

@@ -232,6 +232,9 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"choose from {sorted(STRATEGIES)}")
+        for name in ("epsilon", "theta"):
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive")
 
     def params_dict(self) -> dict[str, float]:
         return dict(self.strategy_params)

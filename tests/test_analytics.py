@@ -51,6 +51,8 @@ class TestComputeK0:
             compute_k0(10, 0.0, 1.0)
         with pytest.raises(ValueError):
             compute_k0(10, 0.5, 0.0)
+        with pytest.raises(ValueError, match="theta must be positive"):
+            compute_k0(30, 0.5, math.nan)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 80),
@@ -179,6 +181,13 @@ class TestProfile:
         d = profile.to_json()
         assert d["mu"] == pytest.approx(profile.mu)
         assert d["log_mu"] == profile.log_mu
+
+    @pytest.mark.parametrize("p, theta", [(0.5, math.nan), (0.5, 0.0), (1.0, 1.0),
+                                          (math.nan, 1.0)])
+    def test_bad_p_or_theta_rejected(self, p, theta):
+        # p = 1 must fail the p check, not divide by zero in 1 / (1 - p)
+        with pytest.raises(ValueError):
+            build_profile(30, p, theta)
 
     def test_mu_at_least_theta(self):
         for theta in (1.0, 10.0, 1e4):

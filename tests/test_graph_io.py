@@ -265,11 +265,28 @@ def test_parsers_match_reference_on_wide_mutations(case):
     (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 1 2 e 2 3\n"),
     (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 1\n2\n"),
     (parse_dimacs, parse_dimacs_reference, "p edge 3 1\n e\u20281 2\n"),
+    # well-shaped lines whose pairs the shared edge validator rejects
+    (parse_edge_list, parse_edge_list_reference, "3 1\n2 1\n"),
+    (parse_edge_list, parse_edge_list_reference, "3 1\n1 1\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne -9223372036854775808 1\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 0 1\n"),
 ])
 def test_parsers_reject_lines_of_the_wrong_shape(parse, reference, text):
     with pytest.raises(GraphFormatError):
         reference(text)
     with pytest.raises(GraphFormatError):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_edge_list, "3 1\n1 1\n", r"edge \(1,1\) violates u < v"),
+    (parse_edge_list, "3 2\n0 1\n1 3\n", "edge 2 of 2 has an endpoint out of range for n=3"),
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 0 1\n", "edge 2 of 2 has an endpoint out of range"),
+    (parse_dimacs, "p edge 3 1\ne 2 2\n", "edge 1 of 1 is a self-loop$"),
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 2 1\n", "duplicate edges"),
+])
+def test_edge_validator_names_the_failing_check(parse, text, message):
+    with pytest.raises(GraphFormatError, match=message):
         parse(text)
 
 

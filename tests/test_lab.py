@@ -235,9 +235,11 @@ class TestExperiment:
         assert comparable_table(payload["rows"]) == comparable_table(rows)
         assert payload["rows"][0]["trace"] is not None
 
-    def test_nan_epsilon_is_a_row_error(self):
-        rows = run_experiment(parse_config(CONFIG_TEXT.replace("epsilon = 1.0", "epsilon = nan")))
-        assert [row["error"] for row in rows] == ["ValueError: epsilon must be positive"] * 3
+    @pytest.mark.parametrize("line", ["epsilon = nan", "epsilon = -1", "theta = nan", "theta = 0"])
+    def test_parse_config_rejects_nonpositive_epsilon_and_theta(self, line):
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            parse_config(CONFIG_TEXT.replace(f"{key} = 1.0", line))
 
     def test_per_row_error_capture(self):
         config = parse_config(
@@ -316,6 +318,9 @@ class TestCli:
         bad_cfg.write_text(
             "n=6\np=0.5\nseeds=0\nstrategy=random_budget\nstrategy.m=900\n")
         assert cli_main(["experiment", str(bad_cfg)]) == 2
+        nan_cfg = tmp_path / "nan.cfg"
+        nan_cfg.write_text("n=14\np=0.5\nseeds=0\ntheta=nan\n")
+        assert cli_main(["experiment", str(nan_cfg)]) == 1
         assert cli_main(["experiment", str(tmp_path / "missing.cfg")]) == 1
 
     def test_experiment_unknown_variant_exits_1(self, tmp_path, capsys):

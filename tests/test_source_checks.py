@@ -36,6 +36,24 @@ def test_no_bare_asserts_in_package():
     assert not found, f"assert statements that python -O would strip: {found}"
 
 
+def _nan_blind_guards(path: str) -> list[int]:
+    """Line numbers of comparisons `x <= 0.0`: NaN fails every comparison, so
+    such a guard lets a NaN through where `not x > 0` rejects it."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            for op, right in zip(node.ops, node.comparators)
+            if isinstance(op, ast.LtE) and isinstance(right, ast.Constant)
+            and type(right.value) is float and right.value == 0.0]
+
+
+def test_no_nan_blind_positivity_guard():
+    paths = sorted(glob.glob(os.path.join(SRC, "chromres", "*.py")))
+    assert paths
+    found = {os.path.basename(p): lines for p in paths if (lines := _nan_blind_guards(p))}
+    assert not found, f"`<= 0.0` guards that a NaN passes: {found}"
+
+
 def test_every_strip_knob_is_read():
     """Each StripKnobs field is read as `knobs.<field>` in coloring.py, so a
     knob that nothing reads cannot stay settable."""
