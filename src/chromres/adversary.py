@@ -58,10 +58,10 @@ def bounded_degree_h(n: int, delta: int, seed: int) -> tuple[EdgeSet, int]:
 
     Stub-matching generation: delta stubs per vertex, random perfect
     matching, rejected and retried while it produces loops or repeated
-    pairs. After _MATCHING_ATTEMPTS tries one more matching is kept with
-    loops and duplicates erased (degrees only shrink, so the cap still holds;
-    exact uniformity is not the contract). Returns the edges and the realized
-    maximum degree.
+    pairs. After _MATCHING_ATTEMPTS rejections one more matching is kept
+    with loops and duplicates erased (degrees only shrink, so the cap still
+    holds; exact uniformity is not the contract). Returns the edges and the
+    realized maximum degree.
     """
     if delta > n - 1:
         raise ValueError("delta must be <= n-1")
@@ -71,27 +71,15 @@ def bounded_degree_h(n: int, delta: int, seed: int) -> tuple[EdgeSet, int]:
     stubs = np.repeat(np.arange(n), delta)
     if len(stubs) % 2 == 1:
         stubs = stubs[:-1]
-    pairs: set[tuple[int, int]] = set()
-    for _ in range(_MATCHING_ATTEMPTS):
+    for _ in range(_MATCHING_ATTEMPTS + 1):
         perm = rng.permutation(stubs)
-        cand: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(perm) - 1, 2):
-            u, v = int(perm[i]), int(perm[i + 1])
-            if u == v or (min(u, v), max(u, v)) in cand:
-                ok = False
-                break
-            cand.add((min(u, v), max(u, v)))
-        if ok:
-            pairs = cand
+        u, v = perm[0::2], perm[1::2]
+        simple = u != v
+        pairs = set(zip(np.minimum(u, v)[simple].tolist(), np.maximum(u, v)[simple].tolist()))
+        # accept a matching with no loop and no repeat; the last one is kept
+        # erased, its simple part only
+        if len(pairs) == len(u):
             break
-    else:
-        # erased configuration: keep the simple part of one more matching
-        perm = rng.permutation(stubs)
-        for i in range(0, len(perm) - 1, 2):
-            u, v = int(perm[i]), int(perm[i + 1])
-            if u != v:
-                pairs.add((min(u, v), max(u, v)))
     edges = EdgeSet(frozenset(pairs))
     max_deg = edges.max_degree()
     if max_deg > delta:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import warnings
 
 from . import analytics
 from .adversary import (
@@ -24,6 +26,7 @@ from .graph import (
     EdgeSet,
     GnpParams,
     Graph,
+    RegimeWarning,
     generate_gnp,
     load_graph,
     save_graph,
@@ -56,6 +59,13 @@ def _cmd_color(args) -> int:
         print(json.dumps(out, indent=1))
         return 0
     elif args.method == "strip":
+        # the profile trusts --p; warn when the file's edge count lies outside
+        # the two-sided Hoeffding tail of 1e-6 around p * C(n, 2)
+        pairs = g.n * (g.n - 1) // 2
+        slack = math.sqrt(pairs * math.log(2e6) / 2)
+        if abs(g.edge_count - args.p * pairs) > slack:
+            warnings.warn(f"{g.edge_count} edges on n={g.n} are implausible for p={args.p}: "
+                          f"p * C(n, 2) = {args.p * pairs:.1f} +- {slack:.1f}", RegimeWarning)
         profile = analytics.build_profile(g.n, args.p, args.theta)
         c, trace = strip_color(g, EdgeSet(frozenset()), args.epsilon, profile)
         out["trace"] = trace.to_json()

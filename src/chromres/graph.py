@@ -6,14 +6,21 @@ gives O(1) adjacency tests and fast row intersection for the independent-set
 searches downstream. Graphs are immutable; every mutating-style operation
 returns a new value, so instances are safe to share across threads.
 
-Bulk graph I/O runs on numpy arrays rather than per pair: the generator draws
-its random stream in fixed-size blocks, the writers unpack each row's upper
-neighbours at once, and the parsers read blocks of text as arrays of code
-points (one tokenizer for both formats, no Python string per token) and check
-all their edges as arrays. Every path that turns a list of pairs into rows
-(generator, parsers, Graph.from_edges) goes through _rows_from_pairs, which
-packs the bits into bounded blocks of rows and counts distinct edges by
-popcount.
+Bulk work runs on numpy bool matrices, and three private helpers are the only
+code that knows how a row is laid out in bytes (little-endian, bit j of a row
+is bit j % 8 of its byte j // 8): _bits turns rows into a bool matrix, _ints
+turns one back into rows, and _projected yields bounded blocks of the
+adjacency among a list of vertices, relabelled onto their positions.
+
+The generator draws its random stream in fixed-size blocks, the writers
+unpack each row's upper neighbours at once, and the parsers read blocks of
+text as arrays of code points (one tokenizer for both formats, no Python
+string per token) and check all their edges as arrays. Every path that turns
+a list of pairs into rows (generator, parsers, Graph.from_edges) goes through
+_rows_from_pairs, which sets the bits of bounded blocks of rows and counts
+distinct edges by popcount. induced_subgraph, and in isets the maximum
+independent set search and the enumeration's forward sets, read their
+relabelled adjacency from _projected.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,9 +40,11 @@ _MAX_VERTICES = 1 << 20
 # Draws per rng.random call in generate_gnp: bounds the float64 buffer the
 # generator holds at once (128 KiB).
 _DRAW_BLOCK = 1 << 14
-# Bytes of packed bit matrix _rows_from_pairs holds at once unless the pairs
-# themselves take more.
+# Bytes of packed bit matrix _rows_from_pairs fills at once unless the pairs
+# themselves take more; the bool block it sets holds 8x as many bytes.
 _MATRIX_BLOCK_BYTES = 1 << 20
+# Bytes of bool matrix _projected unpacks at once (at least one row).
+_PROJECT_BLOCK_BYTES = 1 << 16
 # Characters of text a parser tokenizes at once (cut at the next newline).
 _TEXT_BLOCK_CHARS = 1 << 16
 
@@ -133,6 +142,8 @@ class Graph:
                 u, v = _normalize_pair(u, v)
                 if not 0 <= u < v < n:
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         rows, count = _rows_from_pairs(n, [(uv[:, 0], uv[:, 1])])
         return cls(n, rows, count)
 
@@ -202,6 +213,35 @@ class GnpParams:
             )
 
 
+def _bits(rows: Sequence[int], width: int) -> np.ndarray:
+    """Bool matrix of shape (len(rows), 8 * width) whose entry [i, j] is bit j
+    of rows[i]; every row must fit in width bytes."""
+    blob = b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, bitorder="little").view(bool)
+
+
+def _ints(bits: np.ndarray) -> list[int]:
+    """The rows of a 2-d bool matrix: bit j of row i is set iff bits[i, j]."""
+    return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+def _projected(rows: Sequence[int], verts: Sequence[int]) -> Iterator[np.ndarray]:
+    """The adjacency among verts relabelled onto their positions, as bool
+    blocks of consecutive rows: entry [i, j] of the blocks stacked is whether
+    verts[j] is a neighbour of verts[i] in rows. verts may come in any order;
+    a block unpacks at most _PROJECT_BLOCK_BYTES (at least one row)."""
+    verts = np.asarray(verts, dtype=np.intp)
+    if not len(verts):
+        return
+    width = (int(verts.max()) >> 3) + 1  # bytes holding every label of verts
+    low = (1 << (8 * width)) - 1
+    span = max(1, _PROJECT_BLOCK_BYTES // (8 * width))
+    for r0 in range(0, len(verts), span):
+        block = [rows[v] & low for v in verts[r0:r0 + span].tolist()]
+        yield _bits(block, width)[:, verts]
+
+
 def _rows_from_pairs(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]],
                      ) -> tuple[tuple[int, ...], int]:
     """Adjacency rows and number of distinct edges of the pairs (u[k], v[k])
@@ -209,29 +249,24 @@ def _rows_from_pairs(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]],
     endpoints in 0..n-1; a pair given twice, in either order, sets the same
     bits.
 
-    Bits are set in a packed little-endian uint8 matrix. The whole matrix
-    (n * ceil(n/8) bytes) is held at once only when it is no larger than
+    Blocks of rows are sized by their packed bytes, n * ceil(n/8) for the
+    whole matrix, and set as bool matrices of 8x that size. The whole matrix
+    is held at once only when its packed bytes are no more than
     _MATRIX_BLOCK_BYTES or than the pair arrays themselves; each chunk is then
     set as it arrives. Otherwise the input is sparse for its n: the pairs are
-    grouped by blocks of rows of at most _MATRIX_BLOCK_BYTES, only blocks that
-    some pair touches are filled, one at a time, and every other row is 0.
+    grouped by blocks of rows of at most _MATRIX_BLOCK_BYTES packed, only
+    blocks that some pair touches are filled, one at a time, and every other
+    row is 0. Requires n >= 0.
     """
     width = (n + 7) // 8
     rows = [0] * n
 
     def fill(r0: int, r1: int, entries: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
         # set bit dst of row src for every (src, dst) entry, rows r0..r1-1
-        packed = np.zeros((r1 - r0) * width, dtype=np.uint8)
+        block = np.zeros((r1 - r0, 8 * width), dtype=bool)
         for src, dst in entries:
-            at = src - r0
-            at *= width
-            at += dst >> 3
-            bit = (dst & 7).astype(np.uint8)
-            np.left_shift(1, bit, out=bit)
-            np.bitwise_or.at(packed, at, bit)
-        blob = packed.tobytes()
-        rows[r0:r1] = [int.from_bytes(blob[k * width:(k + 1) * width], "little")
-                       for k in range(r1 - r0)]
+            block[src - r0, dst] = True
+        rows[r0:r1] = _ints(block)
 
     chunks = iter(chunks)
     held, held_bytes = [], 0
@@ -318,21 +353,8 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     for v in verts:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    count = 0
-    for i, v in enumerate(verts):
-        m = g.rows[v]
-        while m:
-            lsb = m & -m
-            w = lsb.bit_length() - 1
-            m ^= lsb
-            j = index.get(w)
-            if j is not None:
-                rows[i] |= 1 << j
-                if j > i:
-                    count += 1
-    return Graph(len(verts), tuple(rows), count), tuple(verts)
+    rows = tuple(row for block in _projected(g.rows, verts) for row in _ints(block))
+    return Graph(len(verts), rows, sum(map(int.bit_count, rows)) // 2), tuple(verts)
 
 
 # --- serialization ------------------------------------------------------
@@ -368,10 +390,9 @@ def _edge_text(g: Graph, header: str, prefix: str, base: int) -> str:
     for u, row in enumerate(g.rows):
         upper = row >> (u + 1)
         if upper:
-            bits = np.unpackbits(np.frombuffer(upper.to_bytes(width, "little"), dtype=np.uint8),
-                                 bitorder="little")
             lead = f"{prefix}{u + base} "
-            parts.append(lead + lead.join(labels[np.flatnonzero(bits) + (u + 1)].tolist()))
+            above = np.flatnonzero(_bits([upper], width)[0]) + (u + 1)
+            parts.append(lead + lead.join(labels[above].tolist()))
     return "".join(parts)
 
 

@@ -10,7 +10,9 @@ numpy bitsets: the same tree, the same node count and the same
 lexicographic order of sets as the one-node-at-a-time recursion. The
 maximum independent set search runs on bitsets over the mask's vertices
 relabelled in its cover order and builds its clique-cover bound one class
-at a time, the classes of first-fit in that order.
+at a time, the classes of first-fit in that order. Both read the relabelled
+adjacency from graph._projected, in its blocks; graph's _bits and _ints are
+the only conversions between adjacency rows and bit arrays.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EdgeSet, Graph, mask_of
+from .graph import EdgeSet, Graph, _bits, _ints, _projected, mask_of
 
 
 # Bytes one enumeration step unpacks its parents' candidate bitsets into (one
 # byte per bit, at least one parent); a step makes at most this many children.
-# The rows unpacked at once to build the forward sets take at most as many
-# (at least one row).
+# The forward sets are built in the blocks of graph._projected.
 _STEP_BYTES = 1 << 16
 
 
@@ -87,14 +88,8 @@ def max_independent_set(g: Graph, limit: int = 120,
     order = sorted((v for v in range(n) if (top >> v) & 1),
                    key=lambda v: (-(rows[v] & top).bit_count(), v))
     pos = {v: i for i, v in enumerate(order)}
-    adj = []  # adj[i]: the neighbours of order[i] inside `within`, as positions
-    for v in order:
-        m, row = rows[v] & top, 0
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            row |= 1 << pos[lsb.bit_length() - 1]
-        adj.append(row)
+    # adj[i]: the neighbours of order[i] inside `within`, as positions
+    adj = [row for block in _projected(rows, order) for row in _ints(block)]
 
     best = list(turan_extract(g, top))  # greedy start, never empty for size >= 1
     best_size = len(best)
@@ -226,24 +221,20 @@ def _coverage_of(sets: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
     return cov
 
 
-def _forward_sets(rows: tuple[int, ...], within: int, verts: np.ndarray,
-                  words: int) -> np.ndarray:
+def _forward_sets(rows: tuple[int, ...], verts: np.ndarray, words: int) -> np.ndarray:
     """fwd[i] is the set of positions j > i whose vertex verts[j] is not
-    adjacent to verts[i], over the ascending labels verts of the mask
-    `within`, packed little-endian into `words` uint64 words per row."""
+    adjacent to verts[i], over the ascending labels verts, packed
+    little-endian into `words` uint64 words per row."""
     s = len(verts)
-    width = (int(verts[-1]) >> 3) + 1  # bytes holding every label of the mask
-    span = max(1, _STEP_BYTES // (8 * width))  # rows unpacked at once
     fwd = np.zeros((s, 8 * words), dtype=np.uint8)
     cols = np.arange(s)
-    for r0 in range(0, s, span):
-        block = verts[r0:r0 + span]
-        blob = b"".join((rows[v] & within).to_bytes(width, "little") for v in block.tolist())
-        adj = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(len(block), width),
-                            axis=1, bitorder="little")[:, verts]
-        above = cols[None, :] > np.arange(r0, r0 + len(block))[:, None]
-        packed = np.packbits(above & (adj == 0), axis=1, bitorder="little")
-        fwd[r0:r0 + len(block), :packed.shape[1]] = packed
+    r0 = 0
+    for adj in _projected(rows, verts):
+        r1 = r0 + len(adj)
+        above = cols[None, :] > np.arange(r0, r1)[:, None]
+        packed = np.packbits(above & ~adj, axis=1, bitorder="little")
+        fwd[r0:r1, :packed.shape[1]] = packed
+        r0 = r1
     return fwd.view("<u8")
 
 
@@ -274,11 +265,9 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
     nodes = 1
     if node_budget is not None and nodes > node_budget:
         raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
-    nbytes = (within.bit_length() + 7) >> 3
-    verts = np.flatnonzero(np.unpackbits(np.frombuffer(within.to_bytes(nbytes, "little"),
-                                                       dtype=np.uint8), bitorder="little"))
+    verts = np.flatnonzero(_bits([within], (within.bit_length() + 7) >> 3)[0])
     words = (s + 63) >> 6
-    fwd = _forward_sets(rows, within, verts, words)
+    fwd = _forward_sets(rows, verts, words)
     per_step = max(1, _STEP_BYTES // (64 * words))  # parents expanded per step
     root = np.zeros((1, 8 * words), dtype=np.uint8)
     root[0, :(s + 7) >> 3] = np.packbits(np.ones(s, dtype=np.uint8), bitorder="little")

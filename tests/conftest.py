@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's search machinery: subsets
 are enumerated by bitmask, colorings by plain recursive assignment in vertex
 order, so they stay valid yardsticks for the clever implementations. The
 `*_reference` functions generate, write and parse graphs one pair at a time
-with Python ints, enumerate independent sets by a recursive DFS, check
+with Python ints, take induced subgraphs bit by bit, match bounded-degree
+stubs pair by pair, enumerate independent sets by a recursive DFS, check
 colorings edge by edge, and run the exact searches with a first-fit clique
 cover and vertex choices that scan every vertex at every node; the
 differential tests hold the package's bitset and incremental versions to
@@ -352,6 +353,41 @@ def dsatur_reference(g: Graph) -> Coloring:
 # --- resilience oracle references --------------------------------------
 
 
+def bounded_degree_h_reference(n: int, delta: int, seed: int) -> tuple[EdgeSet, int]:
+    """Stub matching checked pair by pair: up to 100 rejected matchings, then
+    one more kept with loops and repeats erased."""
+    if delta > n - 1:
+        raise ValueError("delta must be <= n-1")
+    if delta <= 0 or n < 2:
+        return EdgeSet(frozenset()), 0
+    rng = np.random.Generator(np.random.PCG64(seed))
+    stubs = np.repeat(np.arange(n), delta)
+    if len(stubs) % 2 == 1:
+        stubs = stubs[:-1]
+    pairs: set[tuple[int, int]] = set()
+    for _ in range(100):
+        perm = rng.permutation(stubs)
+        cand: set[tuple[int, int]] = set()
+        ok = True
+        for i in range(0, len(perm) - 1, 2):
+            u, v = int(perm[i]), int(perm[i + 1])
+            if u == v or (min(u, v), max(u, v)) in cand:
+                ok = False
+                break
+            cand.add((min(u, v), max(u, v)))
+        if ok:
+            pairs = cand
+            break
+    else:
+        perm = rng.permutation(stubs)
+        for i in range(0, len(perm) - 1, 2):
+            u, v = int(perm[i]), int(perm[i + 1])
+            if u != v:
+                pairs.add((min(u, v), max(u, v)))
+    edges = EdgeSet(frozenset(pairs))
+    return edges, edges.max_degree()
+
+
 def first_defeat_reference(g: Graph, chi_cap: int, classes):
     """First (value, EdgeSet) of `classes` whose pairs added to g push chi
     above chi_cap, (0, empty) if chi(g) already does, None if none does.
@@ -412,6 +448,29 @@ def maximal_bounded_subsets_reference(non_edges, n: int, delta: int, node_budget
 #
 # One pair at a time, Python ints only. from_edges_reference stands in for
 # Graph.from_edges so that no oracle goes through the package's array builder.
+
+
+def induced_subgraph_reference(g: Graph, s) -> tuple[Graph, tuple[int, ...]]:
+    """Walks each chosen row bit by bit and relabels through a dict."""
+    verts = sorted(set(s))
+    for v in verts:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    index = {v: i for i, v in enumerate(verts)}
+    rows = [0] * len(verts)
+    count = 0
+    for i, v in enumerate(verts):
+        m = g.rows[v]
+        while m:
+            lsb = m & -m
+            w = lsb.bit_length() - 1
+            m ^= lsb
+            j = index.get(w)
+            if j is not None:
+                rows[i] |= 1 << j
+                if j > i:
+                    count += 1
+    return Graph(len(verts), tuple(rows), count), tuple(verts)
 
 
 def from_edges_reference(n: int, pairs) -> Graph:

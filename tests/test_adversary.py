@@ -22,7 +22,7 @@ from chromres import (
     random_budget,
     union,
 )
-from conftest import brute_chromatic
+from conftest import bounded_degree_h_reference, brute_chromatic
 
 
 def gnp(n, p, seed):
@@ -102,6 +102,19 @@ class TestBoundedDegree:
     def test_delta_too_large(self):
         with pytest.raises(ValueError):
             bounded_degree_h(5, 5, 0)
+
+    def test_matches_reference(self):
+        cases = [(n, delta, seed) for n in range(2, 14) for delta in range(1, n)
+                 for seed in range(10)]
+        cases += [(200, 5, 0), (1000, 3, 1), (50, 40, 2)]
+        erased = 0
+        for n, delta, seed in cases:
+            got = bounded_degree_h(n, delta, seed)
+            assert got == bounded_degree_h_reference(n, delta, seed), (n, delta, seed)
+            # an accepted matching keeps one pair per stub pair; fewer pairs
+            # mean every attempt was rejected and the erased one was kept
+            erased += got[0].m < n * delta // 2
+        assert erased > 100
 
 
 def exhaustive_global_minimum(g: Graph, chi_cap: int, m_max: int):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromres import (
     EdgeSet,
@@ -11,13 +14,22 @@ from chromres import (
     Graph,
     GraphFormatError,
     RegimeWarning,
+    enumerate_isets,
     generate_gnp,
     induced_subgraph,
+    max_independent_set,
     parse_dimacs,
     parse_edge_list,
     to_dimacs,
     to_edge_list,
     union,
+)
+from chromres import graph
+from chromres.graph import _bits, _ints, _projected
+from conftest import (
+    enumerate_sets_reference,
+    induced_subgraph_reference,
+    max_independent_set_reference,
 )
 
 
@@ -136,6 +148,49 @@ class TestInduced:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(Graph.empty(3), [5])
+
+    @pytest.mark.filterwarnings("ignore::chromres.RegimeWarning")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.integers(1, 70).flatmap(lambda n: st.tuples(
+        st.integers(0, 99), st.just(n), st.sampled_from([0.1, 0.5, 0.9]),
+        st.one_of(st.just([]), st.just(list(range(n))[::-1]),
+                  st.lists(st.integers(0, n - 1), max_size=2 * n)))))
+    def test_matches_reference(self, case):
+        # unsorted vertex lists with repeats, the empty set and every vertex
+        seed, n, p, verts = case
+        g = gnp(n, p, seed)
+        assert induced_subgraph(g, verts) == induced_subgraph_reference(g, verts)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("rows, width", [
+        ([], 0), ([], 3), ([0, 0], 0), ([0, 0, 0], 2),
+        ([0, 1, 0x80, 0xFF], 1),
+        ([1 << 23, (1 << 24) - 1, 5], 3),  # bit 8w-1 set
+    ])
+    def test_round_trip(self, rows, width):
+        bits = _bits(rows, width)
+        assert bits.shape == (len(rows), 8 * width) and bits.dtype == bool
+        assert _ints(bits) == rows
+        for i, row in enumerate(rows):
+            assert bits[i].tolist() == [bool((row >> j) & 1) for j in range(8 * width)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_projected_one_row_per_block(self, monkeypatch, seed):
+        monkeypatch.setattr(graph, "_PROJECT_BLOCK_BYTES", 1)
+        g = gnp(40, 0.5, seed)
+        rng = random.Random(seed)
+        verts = rng.sample(range(40), 25)  # unsorted, as the MIS search passes them
+        blocks = list(_projected(g.rows, verts))
+        assert [b.shape for b in blocks] == [(1, 25)] * 25
+        assert [[g.has_edge(u, v) for v in verts] for u in verts] == \
+            [row.tolist() for b in blocks for row in b]
+        assert induced_subgraph(g, verts) == induced_subgraph_reference(g, verts)
+        within = graph.mask_of(verts)
+        assert max_independent_set(g, within=within) == \
+            max_independent_set_reference(g, within=within)
+        assert enumerate_isets(g, 3, within=within).sets == \
+            tuple(enumerate_sets_reference(g.rows, within, 3, 10 ** 6))
 
 
 class TestSerialization:

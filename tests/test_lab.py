@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from chromres import (
     ExperimentConfig,
     GnpParams,
     Graph,
+    RegimeWarning,
     concentration_sample,
     density_audit,
     generate_gnp,
@@ -292,6 +294,22 @@ class TestCli:
                          "--t", "5"]) == 0
         wrapper = json.loads(capsys.readouterr().out)
         assert wrapper["m"] == len(wrapper["edges"])
+
+    @pytest.mark.parametrize("p, implausible", [(0.1, True), (0.5, False), (0.9, True)])
+    def test_strip_p_checked_against_edge_count(self, tmp_path, capsys, p, implausible):
+        # G(60, 1/2) has 891 edges: C(60, 2) = 1770 pairs give a 1e-6
+        # Hoeffding slack of 113.3 edges, and 0.1 * 1770 = 177 lies far below
+        # the count, 0.9 * 1770 = 1593 far above
+        path = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "60", "--p", "0.5", "--seed", "3",
+                         "--out", str(path)]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["color", str(path), "--method", "strip", "--p", str(p)]) == 0
+        flagged = [w for w in caught if issubclass(w.category, RegimeWarning)
+                   and "implausible" in str(w.message)]
+        assert len(flagged) == implausible
+        assert json.loads(capsys.readouterr().out)["num_colors"] >= 1
 
     def test_audit(self, tmp_path, capsys):
         p = tmp_path / "g.txt"

@@ -54,6 +54,39 @@ def test_no_nan_blind_positivity_guard():
     assert not found, f"`<= 0.0` guards that a NaN passes: {found}"
 
 
+def _row_codec_calls(path: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every to_bytes / from_bytes call with
+    little-endian byte order: the byte layout of an adjacency row."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("to_bytes", "from_bytes")
+                    and any(isinstance(a, ast.Constant) and a.value == "little"
+                            for a in [*child.args, *(k.value for k in child.keywords)])):
+                found.append((child.lineno, scope))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_row_bytes_only_in_graph_codec():
+    """Only graph._bits and graph._ints turn rows into bytes or back, so the
+    row layout is known in one place (a big-endian hash read is no row)."""
+    paths = sorted(glob.glob(os.path.join(SRC, "chromres", "*.py")))
+    assert paths
+    calls = {(os.path.basename(p), scope, line) for p in paths
+             for line, scope in _row_codec_calls(p)}
+    allowed = {("graph.py", "_bits"), ("graph.py", "_ints")}
+    assert {call[:2] for call in calls} == allowed, \
+        f"little-endian to_bytes/from_bytes outside graph._bits/_ints: {sorted(calls)}"
+
+
 def test_every_strip_knob_is_read():
     """Each StripKnobs field is read as `knobs.<field>` in coloring.py, so a
     knob that nothing reads cannot stay settable."""
