@@ -22,7 +22,9 @@ from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_cou
 from .graph import EdgeSet, Graph, induced_subgraph, mask_of, union
 from .isets import (
     EnumerationLimitError,
+    IsetFamily,
     SizeLimitError,
+    _restricted,
     enumerate_isets,
     max_independent_set,
     min_degree_vertex,
@@ -322,7 +324,11 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     S is held as a bitmask over the original vertex labels and every search
     runs on that mask of base or of the union, never on a relabelled copy;
-    the residue is the one induced subgraph built per call.
+    the residue is the one induced subgraph built per call. Each family is
+    enumerated once while the ladder stays at its size: a later step at the
+    same size filters the last enumerated family to S (isets._restricted),
+    which gives the fresh enumeration's sets, order, coverage and limit
+    trips; a step at another size, or after a blown budget, enumerates.
     """
     if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
@@ -349,6 +355,11 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     # empty step that proved the bound, which stayed within node_budget: no
     # skipped step could have tripped a limit either.
     alpha_bound = n
+    # The family of the last step that enumerated or filtered without error,
+    # with one vertex mask per set. A later step at its k filters it to the
+    # remainder (isets._restricted) instead of enumerating: S only shrinks,
+    # so that equals a fresh enumeration and trips no limit one would.
+    cached: Optional[tuple[IsetFamily, list[int]]] = None
 
     while remaining and (s := remaining.bit_count()) > threshold:
         greedy_set = turan_extract(base, remaining)
@@ -362,20 +373,24 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
             fam = None
             k_try = min(k_target, alpha_bound)
             while k_try >= 2:
-                try:
-                    cand = enumerate_isets(base, k_try, node_budget=knobs.node_budget,
-                                           within=remaining)
-                except EnumerationLimitError:
-                    flags.append(f"enumeration-budget@s={s}")
-                    if s <= _EXACT_ALPHA_LIMIT:
-                        # the family is out of reach but one maximum set is not
-                        chosen = max_independent_set(base, _EXACT_ALPHA_LIMIT,
-                                                     within=remaining)
-                        route = "exact-alpha"
-                        flags.append(f"exact-alpha-fallback@s={s}")
-                    break
-                if cand.sets:
-                    fam = cand
+                if cached is not None and cached[0].k == k_try:
+                    cached = _restricted(*cached, remaining)
+                else:
+                    try:
+                        cand = enumerate_isets(base, k_try, node_budget=knobs.node_budget,
+                                               within=remaining)
+                    except EnumerationLimitError:
+                        flags.append(f"enumeration-budget@s={s}")
+                        if s <= _EXACT_ALPHA_LIMIT:
+                            # the family is out of reach but one maximum set is not
+                            chosen = max_independent_set(base, _EXACT_ALPHA_LIMIT,
+                                                         within=remaining)
+                            route = "exact-alpha"
+                            flags.append(f"exact-alpha-fallback@s={s}")
+                        break
+                    cached = (cand, [mask_of(t) for t in cand.sets])
+                if cached[0].sets:
+                    fam = cached[0]
                     break
                 k_try -= 1
                 alpha_bound = k_try

@@ -12,7 +12,9 @@ maximum independent set search runs on bitsets over the mask's vertices
 relabelled in its cover order and builds its clique-cover bound one class
 at a time, the classes of first-fit in that order. Both read the relabelled
 adjacency from graph._projected, in its blocks; graph's _bits and _ints are
-the only conversions between adjacency rows and bit arrays.
+the only conversions between adjacency rows and bit arrays. _restricted
+filters an enumerated family to a sub-mask; it equals enumerating the
+sub-mask afresh, which is how stripping reuses one family across rounds.
 """
 
 from __future__ import annotations
@@ -332,6 +334,28 @@ def enumerate_isets(g: Graph, k: int, limit: int = 5_000_000,
     return IsetFamily(k=k, sets=tuple(sets), coverage=_coverage_of(sets))
 
 
+def _restricted(family: IsetFamily, masks: list[int],
+                within: int) -> tuple[IsetFamily, list[int]]:
+    """The members of `family` inside the vertex mask `within`, in their
+    order and with coverage recounted, and their masks; masks[i] is the
+    vertex mask of family.sets[i].
+
+    When `family` is enumerate_isets(g, k, within=S) for a superset S of
+    `within`, this is enumerate_isets(g, k, within=within) with the same
+    node_budget and limit: a k-set inside `within` is a k-set of S, and
+    filtering keeps the lexicographic order. The DFS tree on `within` is a
+    subtree of the one on S (a child on `within` has at least need - 1
+    candidates above it there, so at least as many on S, and its candidates
+    on `within` are a subset of those on S), so neither limit can trip on
+    `within` when it did not on S.
+    """
+    outside = ~within
+    keep = [i for i, m in enumerate(masks) if not m & outside]
+    sets = [family.sets[i] for i in keep]
+    return (IsetFamily(k=family.k, sets=tuple(sets), coverage=_coverage_of(sets)),
+            [masks[i] for i in keep])
+
+
 def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
     """Cap the pair coverage of an enumerated family by snapshot deletion.
 
@@ -340,8 +364,11 @@ def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
     that pair is deleted; pairs are judged against that initial snapshot, so
     the outcome does not depend on the order of deletion. The surviving
     family covers every pair at most `cap` times; excess_mass records the
-    pre-deletion coverage mass sitting above the cap.
+    pre-deletion coverage mass sitting above the cap. ValueError unless
+    cap >= 0 (a NaN cap would delete nothing and label the family NaN).
     """
+    if not cap >= 0:  # also rejects NaN
+        raise ValueError(f"cap must be >= 0, got {cap}")
     snapshot = family.coverage
     bad = {pr for pr, c in snapshot.items() if c > cap}
     kept = [s for s in family.sets if bad.isdisjoint(combinations(s, 2))]

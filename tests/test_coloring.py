@@ -284,16 +284,27 @@ def test_ladder_starts_at_proven_alpha_bound(monkeypatch):
     # plant_clique G(150) with the lab's default clique (t = 22)
     base = gnp(150, 0.5, 1)
     added = plant_clique(base, range(22))
-    calls = []
+    calls = []  # (size, k, found) for every ladder step, fresh or restricted
+    fresh = []  # k of every fresh enumeration
     real = coloring_module.enumerate_isets
+    real_restricted = coloring_module._restricted
 
     def spy(g, k, *args, within=None, **kwargs):
         fam = real(g, k, *args, within=within, **kwargs)
         calls.append((within.bit_count(), k, len(fam)))
+        fresh.append(k)
         return fam
 
+    def restricted_spy(family, masks, within):
+        fam, kept = real_restricted(family, masks, within)
+        calls.append((within.bit_count(), fam.k, len(fam)))
+        return fam, kept
+
     monkeypatch.setattr(coloring_module, "enumerate_isets", spy)
+    monkeypatch.setattr(coloring_module, "_restricted", restricted_spy)
     _, trace = strip_color(base, added, 1.0, build_profile(150, 0.5, 1.0))
+    # later rounds at a size already enumerated filter that family
+    assert len(fresh) == len(set(fresh))
     proven = None  # smallest size proven empty so far
     for _, k, found in calls:
         assert proven is None or k < proven

@@ -8,6 +8,11 @@ reference's node total and N does not, and a limit of one set fewer than the
 family raises where the family's own size does not. Every set is a leaf of
 the tree below a root that holds none, so a family is always smaller than N:
 a set limit at or above the node budget can never trip first.
+
+strip_color filters a family enumerated on a remainder S to each later
+remainder S' inside it (isets._restricted) instead of enumerating again:
+that must give the fresh family of S', and a budget that passes on S must
+pass on S', because the DFS tree on S' is a subtree of the one on S.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromres import EnumerationLimitError, GnpParams, enumerate_isets, generate_gnp, isets
 from chromres.graph import mask_of
@@ -83,3 +89,44 @@ def test_one_parent_per_step(monkeypatch, k):
     monkeypatch.setattr(isets, "_STEP_BYTES", 1)
     g = _graph(0.5)
     _check(g, _mask(48, k), k)
+
+
+def _smallest_budget(g, k: int, within: int) -> int:
+    """The smallest node_budget enumerate_isets passes with, by bisection."""
+    hi = 1
+    while _raises(enumerate_isets, g, k, node_budget=hi, within=within):
+        hi *= 2
+    lo = -1  # below every budget that can pass
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _raises(enumerate_isets, g, k, node_budget=mid, within=within):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_restriction_equals_fresh_enumeration(seed):
+    # a chain S ⊇ S' ⊇ S'' of masks of G(n <= 40), each restricted from the
+    # last restriction, as strip_color does over its rounds
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    g = generate_gnp(GnpParams(n, rng.choice([0.1, 0.3, 0.5, 0.8]), rng.randrange(1000)))
+    chain = [rng.getrandbits(n)]
+    for _ in range(2):
+        chain.append(chain[-1] & ~mask_of(rng.sample(range(n), rng.randint(1, min(4, n)))))
+    for k in rng.sample(range(1, 6), 3):
+        fam = enumerate_isets(g, k, within=chain[0])
+        masks = [mask_of(s) for s in fam.sets]
+        budget = _smallest_budget(g, k, chain[0])
+        for within in chain[1:]:
+            fam, masks = isets._restricted(fam, masks, within)
+            fresh = enumerate_isets(g, k, within=within)
+            assert fam.k == k
+            assert fam.sets == fresh.sets
+            assert fam.coverage == fresh.coverage
+            assert masks == [mask_of(s) for s in fresh.sets]
+            assert not _raises(enumerate_isets, g, k, node_budget=budget, within=within)
+            assert not _raises(enumerate_isets, g, k, limit=len(fresh), within=within)

@@ -295,6 +295,16 @@ class TestCli:
         wrapper = json.loads(capsys.readouterr().out)
         assert wrapper["m"] == len(wrapper["edges"])
 
+    @pytest.mark.parametrize("cap", ["nan", "-1"])
+    def test_isets_cap_must_be_nonnegative(self, tmp_path, capsys, cap):
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "12", "--p", "0.5", "--seed", "1",
+                         "--out", str(p)]) == 0
+        capsys.readouterr()
+        assert cli_main(["isets", str(p), "--k", "3", "--cap", cap]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap must be >= 0" in captured.err
+
     @pytest.mark.parametrize("p, implausible", [(0.1, True), (0.5, False), (0.9, True)])
     def test_strip_p_checked_against_edge_count(self, tmp_path, capsys, p, implausible):
         # G(60, 1/2) has 891 edges: C(60, 2) = 1770 pairs give a 1e-6
