@@ -220,7 +220,7 @@ def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: in
             i += 1
             continue
         w = open_
-        while w:
+        while w:  # walked by hand: the walk stops at the first dominated vertex
             lsb = w & -w
             u = lsb.bit_length() - 1
             if free[u] & ~taken[u] & open_:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
-from .graph import EdgeSet, Graph, induced_subgraph, mask_of, union
+from .graph import EdgeSet, Graph, _edges_inside, _members, induced_subgraph, mask_of, union
 from .isets import (
     EnumerationLimitError,
     IsetFamily,
@@ -91,11 +91,7 @@ def dsatur(g: Graph) -> Coloring:
             c += 1
         colors[v] = c
         score[v] = -1
-        m = rows[v]
-        while m:
-            lsb = m & -m
-            w = lsb.bit_length() - 1
-            m ^= lsb
+        for w in _members(rows[v]):
             if colors[w] < 0:
                 score[w] -= n  # one uncolored neighbour fewer
                 if c not in neigh_colors[w]:
@@ -125,14 +121,7 @@ def degeneracy_color(g: Graph) -> tuple[Coloring, int]:
     removal, degeneracy = degeneracy_order(g)
     colors = [-1] * g.n
     for v in reversed(removal):
-        used = set()
-        m = g.rows[v]
-        while m:
-            lsb = m & -m
-            w = lsb.bit_length() - 1
-            m ^= lsb
-            if colors[w] >= 0:
-                used.add(colors[w])
+        used = {colors[w] for w in _members(g.rows[v])}  # -1, uncolored, blocks nothing
         c = 0
         while c in used:
             c += 1
@@ -152,15 +141,7 @@ def greedy_clique(g: Graph) -> int:
         clique = 1
         cand = rows[start]
         while cand:
-            pick, pick_key = -1, (-1, 0)
-            m = cand
-            while m:
-                lsb = m & -m
-                u = lsb.bit_length() - 1
-                m ^= lsb
-                key = ((rows[u] & cand).bit_count(), -u)
-                if key > pick_key:
-                    pick_key, pick = key, u
+            pick = max(_members(cand), key=lambda u: ((rows[u] & cand).bit_count(), -u))
             clique += 1
             cand &= rows[pick] & ~(1 << pick)
         best = max(best, clique)
@@ -201,12 +182,7 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
         saved, score[v] = score[v], -1
         nb = nbrs[v]
         if nb is None:
-            m, nb = rows[v], []
-            while m:
-                lsb = m & -m
-                nb.append(lsb.bit_length() - 1)
-                m ^= lsb
-            nbrs[v] = nb
+            nb = nbrs[v] = _members(rows[v])
         top = min(k - 1, max_used + 1)
         for c in range(top + 1):
             bit = 1 << c
@@ -368,7 +344,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
         route = "greedy"
         chosen: tuple[int, ...] = greedy_set
-        planted = 0
         if s <= knobs.family_size_limit:
             fam = None
             k_try = min(k_target, alpha_bound)
@@ -404,13 +379,12 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                 # the averaging bound counts only the added pairs inside S
                 inside = EdgeSet(frozenset(
                     (u, v) for u, v in added.pairs if (remaining >> u) & 1 and (remaining >> v) & 1))
-                chosen, planted = sparse_iset(fam, inside)
+                chosen, _ = sparse_iset(fam, inside)
         chosen_mask = mask_of(chosen)
         if route == "greedy":
             flags.append(f"greedy-fallback@s={s}")
-        if route in ("greedy", "exact-alpha"):
-            planted = sum(1 for u, v in added.pairs
-                          if (chosen_mask >> u) & 1 and (chosen_mask >> v) & 1)
+        # chosen is independent in base: its edges in full are added pairs
+        planted = _edges_inside(full, chosen_mask)
 
         # refine to an independent set of the union graph
         final = turan_extract(full, chosen_mask)
@@ -424,7 +398,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     residual_colors = 0
     if remaining:
-        sub_union, sub_map = induced_subgraph(full, (v for v in range(n) if colors[v] < 0))
+        sub_union, sub_map = induced_subgraph(full, _members(remaining))
         res_coloring, _ = degeneracy_color(sub_union)
         for i, v in enumerate(sub_map):
             colors[v] = next_color + res_coloring.colors[i]

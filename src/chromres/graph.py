@@ -10,7 +10,11 @@ Bulk work runs on numpy bool matrices, and three private helpers are the only
 code that knows how a row is laid out in bytes (little-endian, bit j of a row
 is bit j % 8 of its byte j // 8): _bits turns rows into a bool matrix, _ints
 turns one back into rows, and _projected yields bounded blocks of the
-adjacency among a list of vertices, relabelled onto their positions.
+adjacency among a list of vertices, relabelled onto their positions. Two more
+are the only code that lists a mask's members (the writers aside, which unpack
+each row's upper neighbours as one index array) or counts the edges inside a
+mask: _members gives a mask's vertices in ascending order, and _edges_inside
+the number of edges of a graph with both ends in a mask.
 
 The generator draws its random stream in fixed-size blocks, the writers
 unpack each row's upper neighbours at once, and the parsers read blocks of
@@ -47,6 +51,9 @@ _MATRIX_BLOCK_BYTES = 1 << 20
 _PROJECT_BLOCK_BYTES = 1 << 16
 # Characters of text a parser tokenizes at once (cut at the next newline).
 _TEXT_BLOCK_CHARS = 1 << 16
+# Members above which _members unpacks a mask through _bits instead of walking
+# its lowest bits one at a time (the faster way on each side, measured).
+_WIDE_MEMBERS = 48
 
 
 class GraphFormatError(ValueError):
@@ -151,31 +158,20 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        m = self.rows[v]
-        while m:
-            lsb = m & -m
-            yield lsb.bit_length() - 1
-            m ^= lsb
+        yield from _members(self.rows[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1)
-            while m:
-                lsb = m & -m
-                yield (u, u + lsb.bit_length())
-                m ^= lsb
+        for u, row in enumerate(self.rows):
+            for v in _members(row & -(2 << u)):  # the bits above u
+                yield u, v
 
     def non_edges(self) -> list[tuple[int, int]]:
         """All unordered non-adjacent pairs, ascending row-major order."""
-        out = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if not (self.rows[u] >> v) & 1:
-                    out.append((u, v))
-        return out
+        full = (1 << self.n) - 1
+        return [(u, v) for u, row in enumerate(self.rows)
+                for v in _members(full & -(2 << u) & ~row)]  # above u, not adjacent
 
     def validate(self) -> None:
-        count = 0
         for u in range(self.n):
             if (self.rows[u] >> u) & 1:
                 raise ValueError(f"self-loop at {u}")
@@ -184,8 +180,7 @@ class Graph:
             for v in self.neighbors(u):
                 if not (self.rows[v] >> u) & 1:
                     raise ValueError(f"asymmetric pair ({u},{v})")
-                if v > u:
-                    count += 1
+        count = _edges_inside(self, (1 << self.n) - 1)
         if count != self.edge_count:
             raise ValueError(f"edge_count {self.edge_count} != recount {count}")
 
@@ -224,6 +219,24 @@ def _bits(rows: Sequence[int], width: int) -> np.ndarray:
 def _ints(bits: np.ndarray) -> list[int]:
     """The rows of a 2-d bool matrix: bit j of row i is set iff bits[i, j]."""
     return [int.from_bytes(row, "little") for row in np.packbits(bits, axis=1, bitorder="little")]
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, in ascending order."""
+    if mask.bit_count() > _WIDE_MEMBERS:
+        return np.flatnonzero(_bits([mask], (mask.bit_length() + 7) >> 3)[0]).tolist()
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _edges_inside(g: Graph, mask: int) -> int:
+    """The number of edges of g with both ends in the vertex mask."""
+    rows = g.rows
+    return sum([(rows[v] & mask).bit_count() for v in _members(mask)]) // 2
 
 
 def _projected(rows: Sequence[int], verts: Sequence[int]) -> Iterator[np.ndarray]:

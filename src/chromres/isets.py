@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EdgeSet, Graph, _bits, _ints, _projected, mask_of
+from .graph import EdgeSet, Graph, _ints, _members, _projected, mask_of
 
 
 # Bytes one enumeration step unpacks its parents' candidate bitsets into (one
@@ -87,7 +87,7 @@ def max_independent_set(g: Graph, limit: int = 120,
     if size == 0:
         return ()
     rows, n = g.rows, g.n
-    order = sorted((v for v in range(n) if (top >> v) & 1),
+    order = sorted(_members(top),
                    key=lambda v: (-(rows[v] & top).bit_count(), v))
     pos = {v: i for i, v in enumerate(order)}
     # adj[i]: the neighbours of order[i] inside `within`, as positions
@@ -112,7 +112,7 @@ def max_independent_set(g: Graph, limit: int = 120,
         while rest:
             bound += 1
             q = rest
-            while q:
+            while q:  # walked by hand: q shrinks to adj[i] at each step
                 lsb = q & -q
                 i = lsb.bit_length() - 1
                 rest ^= lsb
@@ -146,11 +146,7 @@ def min_degree_vertex(rows: tuple[int, ...], alive: int) -> tuple[int, int]:
     """Lowest-index vertex of minimum degree inside the non-empty mask
     `alive`, with that degree (neighbours outside `alive` do not count)."""
     best_v, best_d = -1, alive.bit_count()
-    m = alive
-    while m:
-        lsb = m & -m
-        v = lsb.bit_length() - 1
-        m ^= lsb
+    for v in _members(alive):
         d = (rows[v] & alive).bit_count()
         if d < best_d:
             best_v, best_d = v, d
@@ -267,7 +263,7 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
     nodes = 1
     if node_budget is not None and nodes > node_budget:
         raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
-    verts = np.flatnonzero(_bits([within], (within.bit_length() + 7) >> 3)[0])
+    verts = np.array(_members(within), dtype=np.intp)
     words = (s + 63) >> 6
     fwd = _forward_sets(rows, verts, words)
     per_step = max(1, _STEP_BYTES // (64 * words))  # parents expanded per step
@@ -365,10 +361,11 @@ def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
     the outcome does not depend on the order of deletion. The surviving
     family covers every pair at most `cap` times; excess_mass records the
     pre-deletion coverage mass sitting above the cap. ValueError unless
-    cap >= 0 (a NaN cap would delete nothing and label the family NaN).
+    0 <= cap < inf (a NaN cap would delete nothing and label the family NaN,
+    and an infinite one would label it with a number JSON cannot hold).
     """
-    if not cap >= 0:  # also rejects NaN
-        raise ValueError(f"cap must be >= 0, got {cap}")
+    if not 0 <= cap < math.inf:  # also rejects NaN
+        raise ValueError(f"cap must be >= 0 and finite, got {cap}")
     snapshot = family.coverage
     bad = {pr for pr, c in snapshot.items() if c > cap}
     kept = [s for s in family.sets if bad.isdisjoint(combinations(s, 2))]

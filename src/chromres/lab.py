@@ -26,7 +26,7 @@ import numpy as np
 from . import analytics
 from .adversary import bounded_degree_h, plant_clique, random_budget
 from .coloring import StripKnobs, chromatic_exact, dsatur, strip_color, verify_coloring
-from .graph import EdgeSet, Graph, GnpParams, generate_gnp, mask_of, union
+from .graph import EdgeSet, Graph, GnpParams, _edges_inside, generate_gnp, mask_of, union
 from .isets import enumerate_isets, uniform_family
 
 RESULT_SCHEMA_VERSION = 1
@@ -71,11 +71,6 @@ class DensityReport:
         return d
 
 
-def _edges_inside(g: Graph, subset: tuple[int, ...]) -> int:
-    mask = mask_of(subset)
-    return sum((g.rows[v] & mask).bit_count() for v in subset) // 2
-
-
 def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
                   samples: int = 0, seed: int = 0) -> DensityReport:
     """Check that every (or a sampled set of) small subset spans few edges.
@@ -86,9 +81,11 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     _AUDIT_BUDGET); sampled mode draws `samples` >= 1 subsets per size from
     PCG64([seed, s]) and can only find violations, never certify their
     absence. Sizes are scanned in ascending order, subsets in the order their
-    source yields them. ValueError unless np > 1 and epsilon > 0.
+    source yields them. ValueError unless 0 < p < 1, np > 1 and epsilon > 0.
     """
     n = g.n
+    if not 0.0 < p < 1.0:  # also rejects NaN
+        raise ValueError("p must lie strictly between 0 and 1")
     if n * p <= 1.0:
         raise ValueError("density audit needs np > 1")
     if not epsilon > 0:  # also rejects NaN
@@ -123,7 +120,7 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     for s in sizes:
         limit = math.floor(bound * s)
         for subset in subsets(s):
-            e = _edges_inside(g, subset)
+            e = _edges_inside(g, mask_of(subset))
             if e > limit:
                 violations.append((subset, s, e))
     return DensityReport(
@@ -235,6 +232,12 @@ class ExperimentConfig:
         for name in ("epsilon", "theta"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
+        for p in self.p_list:
+            if not 0.0 < p < 1.0:  # also rejects NaN
+                raise ValueError("p must lie strictly between 0 and 1")
+        for n in self.n_list:
+            if n < 1:
+                raise ValueError("n must be >= 1")
 
     def params_dict(self) -> dict[str, float]:
         return dict(self.strategy_params)

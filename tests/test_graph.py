@@ -25,7 +25,7 @@ from chromres import (
     union,
 )
 from chromres import graph
-from chromres.graph import _bits, _ints, _projected
+from chromres.graph import _bits, _edges_inside, _ints, _members, _projected
 from conftest import (
     enumerate_sets_reference,
     induced_subgraph_reference,
@@ -192,6 +192,39 @@ class TestCodec:
         assert enumerate_isets(g, 3, within=within).sets == \
             tuple(enumerate_sets_reference(g.rows, within, 3, 10 ** 6))
 
+    @staticmethod
+    def _mask_cases():
+        wide = graph._WIDE_MEMBERS
+        rng = random.Random(5)
+        yield 0
+        yield 1
+        yield 1 << 63
+        yield 1 << 64
+        yield (1 << 63) | (1 << 64) | 1
+        for count in (wide, wide + 1):  # either side of the switch to _bits
+            yield graph.mask_of(rng.sample(range(200), count))
+            yield (1 << count) - 1
+        yield graph.mask_of(rng.sample(range(600), 20))  # sparse on 600 bits
+        yield graph.mask_of(v for v in range(600) if rng.random() < 0.9)  # dense
+
+    def test_members_lists_set_bits_ascending(self):
+        for mask in self._mask_cases():
+            assert _members(mask) == [v for v in range(mask.bit_length()) if mask >> v & 1]
+        counts = {mask.bit_count() for mask in self._mask_cases()}
+        assert {graph._WIDE_MEMBERS, graph._WIDE_MEMBERS + 1} <= counts
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edges_inside_counts_pairs_within_mask(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 120)
+        g = gnp(n, rng.choice([0.1, 0.5, 0.9]), seed)
+        full = (1 << n) - 1
+        masks = [0, full] + [rng.getrandbits(n) for _ in range(8)]
+        for mask in masks:
+            expect = sum(1 for u, v in g.edges() if mask >> u & 1 and mask >> v & 1)
+            assert _edges_inside(g, mask) == expect
+        assert _edges_inside(g, full) == g.edge_count
+
 
 class TestSerialization:
     def test_single_vertex(self):
@@ -271,3 +304,19 @@ class TestEdgeSet:
 def test_negative_vertex_count_rejected(build):
     with pytest.raises(ValueError, match="negative vertex count -1"):
         build()
+
+
+@pytest.mark.parametrize("rows, count, message", [
+    ((0b010, 0b101, 0b010), 2, None),  # the path 0-1-2
+    ((0b011, 0b001, 0), 1, "self-loop at 0"),
+    ((0b1000, 0, 0), 0, "row 0 has bits beyond n=3"),
+    ((0b010, 0, 0), 0, "asymmetric pair \\(0,1\\)"),
+    ((0b010, 0b101, 0b010), 3, "edge_count 3 != recount 2"),
+])
+def test_validate_names_the_broken_invariant(rows, count, message):
+    g = Graph(3, rows, count)
+    if message is None:
+        g.validate()
+    else:
+        with pytest.raises(ValueError, match=message):
+            g.validate()

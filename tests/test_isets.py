@@ -163,7 +163,7 @@ class TestUniformFamily:
         fam = uniform_family(enumerate_isets(Graph.empty(4), 2), cap=0.9)
         assert len(fam) == 0 and fam.deleted == 6
 
-    @pytest.mark.parametrize("cap", [math.nan, -1, -math.inf])
+    @pytest.mark.parametrize("cap", [math.nan, -1, -math.inf, math.inf])
     def test_cap_must_be_nonnegative(self, cap):
         with pytest.raises(ValueError):
             uniform_family(enumerate_isets(Graph.empty(4), 2), cap=cap)

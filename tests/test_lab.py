@@ -105,6 +105,11 @@ class TestDensityAudit:
         with pytest.raises(ValueError):
             density_audit(Graph.empty(5), 0.1, 1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, 0.0, 1.0, 3.0])
+    def test_needs_p_strictly_inside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+            density_audit(Graph.empty(20), p, 1.0)
+
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
     def test_needs_positive_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -259,6 +264,16 @@ class TestExperiment:
             ExperimentConfig(n_list=(5,), p_list=(0.5,), seeds=(1,),
                              strategy="nope")
 
+    @pytest.mark.parametrize("p", [math.nan, 0.0, 1.0, 3.0])
+    def test_config_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
+            ExperimentConfig(n_list=(5,), p_list=(0.5, p), seeds=(1,))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_config_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ExperimentConfig(n_list=(5, n), p_list=(0.5,), seeds=(1,))
+
 
 class TestCli:
     def test_generate_and_color(self, tmp_path, capsys):
@@ -295,7 +310,7 @@ class TestCli:
         wrapper = json.loads(capsys.readouterr().out)
         assert wrapper["m"] == len(wrapper["edges"])
 
-    @pytest.mark.parametrize("cap", ["nan", "-1"])
+    @pytest.mark.parametrize("cap", ["nan", "-1", "inf"])
     def test_isets_cap_must_be_nonnegative(self, tmp_path, capsys, cap):
         p = tmp_path / "g.txt"
         assert cli_main(["generate", "--n", "12", "--p", "0.5", "--seed", "1",
@@ -329,6 +344,16 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["exhaustive"] is True
 
+    @pytest.mark.parametrize("p", ["nan", "0", "1", "3"])
+    def test_audit_p_must_lie_inside_unit_interval(self, tmp_path, capsys, p):
+        path = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "18", "--p", "0.4", "--seed", "2",
+                         "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["audit", str(path), "--p", p, "--epsilon", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "p must lie strictly between 0 and 1" in captured.err
+
     def test_sampled_audit_needs_samples(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         assert cli_main(["generate", "--n", "40", "--p", "0.12", "--seed", "7",
@@ -349,6 +374,11 @@ class TestCli:
         nan_cfg = tmp_path / "nan.cfg"
         nan_cfg.write_text("n=14\np=0.5\nseeds=0\ntheta=nan\n")
         assert cli_main(["experiment", str(nan_cfg)]) == 1
+        value_cfg = tmp_path / "value.cfg"
+        for values in ("n=14\np=3", "n=14\np=nan", "n=14\np=0", "n=14\np=1",
+                       "n=0\np=0.5", "n=-2\np=0.5"):
+            value_cfg.write_text(f"{values}\nseeds=0\n")
+            assert cli_main(["experiment", str(value_cfg)]) == 1, values
         assert cli_main(["experiment", str(tmp_path / "missing.cfg")]) == 1
 
     def test_experiment_unknown_variant_exits_1(self, tmp_path, capsys):

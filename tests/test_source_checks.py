@@ -87,6 +87,43 @@ def test_row_bytes_only_in_graph_codec():
         f"little-endian to_bytes/from_bytes outside graph._bits/_ints: {sorted(calls)}"
 
 
+def _lowest_bit_walks(path: str) -> list[tuple[int, str]]:
+    """(line, scope) of every `x & -x` in the file, the lowest set bit of x;
+    scope is the module-level function or Class.method that holds it."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    found = []
+
+    def visit(node: ast.AST, scope: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.BitAnd)
+                    and isinstance(child.right, ast.UnaryOp)
+                    and isinstance(child.right.op, ast.USub)
+                    and ast.dump(child.left) == ast.dump(child.right.operand)):
+                found.append((child.lineno, scope))
+            inner = scope
+            if not in_function and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner, in_function or isinstance(child, ast.FunctionDef))
+
+    visit(tree, "", False)
+    return found
+
+
+def test_mask_members_only_in_graph_members():
+    """Only graph._members walks a mask's lowest bits to list its members; the
+    two walks left change or cut the mask as they go (max_independent_set's
+    class loop, the bounded-subset search's first-dominated-vertex check)."""
+    paths = sorted(glob.glob(os.path.join(SRC, "chromres", "*.py")))
+    assert paths
+    walks = {(os.path.basename(p), scope, line) for p in paths
+             for line, scope in _lowest_bit_walks(p)}
+    allowed = {("graph.py", "_members"), ("isets.py", "max_independent_set"),
+               ("adversary.py", "_maximal_bounded_subsets")}
+    assert {walk[:2] for walk in walks} == allowed, \
+        f"`x & -x` walks outside the allowed three: {sorted(w for w in walks if w[:2] not in allowed)}"
+
+
 def test_every_strip_knob_is_read():
     """Each StripKnobs field is read as `knobs.<field>` in coloring.py, so a
     knob that nothing reads cannot stay settable."""
