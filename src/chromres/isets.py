@@ -7,7 +7,11 @@ bitmask `within` where given, and use documented, deterministic orderings
 so results are reproducible. Fixed-size enumeration walks the tree of the
 plain DFS over increasing labels, a block of nodes at a time on packed
 numpy bitsets: the same tree, the same node count and the same
-lexicographic order of sets as the one-node-at-a-time recursion. The
+lexicographic order of sets as the one-node-at-a-time recursion. A node
+keeps only its last vertex and a pointer to its parent, so a set is built
+only at a leaf, and the nodes a block makes are counted from its
+candidates' popcounts. The blocks are large so that the fixed Python cost
+of a step, paid with the GIL held, is small against its numpy work. The
 maximum independent set search runs on bitsets over the mask's vertices
 relabelled in its cover order and builds its clique-cover bound one class
 at a time, the classes of first-fit in that order. Both read the relabelled
@@ -31,8 +35,12 @@ from .graph import EdgeSet, Graph, _ints, _members, _projected, mask_of
 
 # Bytes one enumeration step unpacks its parents' candidate bitsets into (one
 # byte per bit, at least one parent); a step makes at most this many children.
-# The forward sets are built in the blocks of graph._projected.
-_STEP_BYTES = 1 << 16
+# The forward sets are built in the blocks of graph._projected. A step pays a
+# fixed Python cost, with the GIL held, for its few dozen numpy calls, which
+# release it; at 2^16 that cost was a large share of a step, and two sweep
+# threads mostly waited on each other. At 2^18 a step's temporaries are a few
+# hundred kB, freed before the next step.
+_STEP_BYTES = 1 << 18
 
 
 class SizeLimitError(RuntimeError):
@@ -236,6 +244,22 @@ def _forward_sets(rows: tuple[int, ...], verts: np.ndarray, words: int) -> np.nd
     return fwd.view("<u8")
 
 
+def _kept(parents: np.ndarray, pc: Optional[np.ndarray], need: int,
+          width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent index, candidate position) of every child of the candidate
+    bitsets `parents`, in that order: each parent's candidates but its last
+    need - 1, as int32 arrays."""
+    found = np.flatnonzero(np.unpackbits(parents.view(np.uint8), bitorder="little").view(bool))
+    if need > 1:
+        keep = np.ones(len(found), dtype=bool)
+        ends = np.cumsum(pc)
+        for _ in range(need - 1):
+            ends -= 1
+            keep[ends] = False
+        found = found[keep]
+    return np.divmod(found.astype(np.int32), width)
+
+
 def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
                     node_budget: Optional[int] = None) -> list[tuple[int, ...]]:
     """Every independent k-set of the mask `within`, lexicographically sorted.
@@ -252,10 +276,15 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
     relabelled in ascending order, so a child's candidates are its parent's
     ANDed with the forward set of its vertex. A step expands the next pending
     nodes of the top frame, as many as unpack into _STEP_BYTES (at least
-    one), and pushes their children, in (parent, vertex) order, above what
-    is left of that frame: sets come out in the DFS's order, and the stack
-    holds at most one frame per depth. The node and set counts are totals
-    over the same tree, so both limits trip exactly when the DFS's do.
+    one), and pushes their live children, in (parent, vertex) order, above
+    what is left of that frame: sets come out in the DFS's order, and the
+    stack holds at most one frame per depth. A step's children number its
+    parents' popcounts less need - 1 each, counted before any is built. A
+    frame keeps its nodes' candidates and, as parent pointers, the label
+    each chose last and the index of its parent in the frame below; a leaf
+    step rebuilds its sets with one gather per level. The node and set
+    counts are totals over the same tree, so both limits trip exactly when
+    the DFS's do.
     """
     s = within.bit_count()
     if k > s:
@@ -263,53 +292,77 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
     nodes = 1
     if node_budget is not None and nodes > node_budget:
         raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
-    verts = np.array(_members(within), dtype=np.intp)
+    verts = np.array(_members(within), dtype=np.int32)
     words = (s + 63) >> 6
+    width = 64 * words  # bits in one candidate bitset
     fwd = _forward_sets(rows, verts, words)
-    per_step = max(1, _STEP_BYTES // (64 * words))  # parents expanded per step
+    per_step = max(1, _STEP_BYTES // width)  # parents expanded per step
     root = np.zeros((1, 8 * words), dtype=np.uint8)
     root[0, :(s + 7) >> 3] = np.packbits(np.ones(s, dtype=np.uint8), bitorder="little")
-    index_type = np.int16 if s <= np.iinfo(np.int16).max else np.int32
     out: list[tuple[int, ...]] = []
-    # frame: [candidate bitsets, chosen prefixes, candidate counts, next pending node]
-    stack = [[root.view("<u8"), np.zeros((1, 0), dtype=index_type), np.array([s]), 0]]
+    # frame: [candidate bitsets, candidate counts, next pending node, need, link];
+    # a node's link is (label it chose last, index of its parent in the frame
+    # below, that frame's link) as arrays over the frame, None at the root
+    stack = [[root.view("<u8"), np.array([s], dtype=np.int32), 0, k, None]]
     while stack:
         frame = stack[-1]
-        cands, prefix, pcs, start = frame
+        cands, pcs, start, need, link = frame
         stop = start + per_step
         if stop >= len(pcs):
             stop = len(pcs)
             stack.pop()
         else:
-            frame[3] = stop
-        need = k - prefix.shape[1]
+            frame[2] = stop
         pc = pcs[start:stop]
-        counts = pc - (need - 1)  # children of each parent
-        born = int(counts.sum())
+        born = int(pc.sum(dtype=np.int64)) - (need - 1) * len(pc)
         nodes += born
         if node_budget is not None and nodes > node_budget:
             raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
-        if need == 1 and len(out) + born > limit:
-            raise EnumerationLimitError(f"more than {limit} independent sets")
-        parents = cands[start:stop]
-        bits = np.unpackbits(parents.view(np.uint8), bitorder="little").view(bool)
-        pidx, v = np.divmod(np.flatnonzero(bits), 64 * words)
-        if need > 1:  # keep each parent's first `counts` candidates
-            keep = np.arange(len(v)) - (np.cumsum(pc) - pc)[pidx] < counts[pidx]
-            pidx, v = pidx[keep], v[keep]
-        chosen = np.empty((born, prefix.shape[1] + 1), dtype=index_type)
-        chosen[:, :-1] = prefix[start:stop][pidx]
-        chosen[:, -1] = v
+        # a step's temporaries live inside _leaves and _children, so they are
+        # freed before the next step allocates its own
         if need == 1:
-            out.extend(map(tuple, verts[chosen].tolist()))
-            continue
-        child = parents[pidx]
-        child &= fwd[v]
-        cpc = np.bitwise_count(child).sum(axis=1, dtype=np.int64)
-        live = cpc >= need - 1
-        if live.any():
-            stack.append([child[live], chosen[live], cpc[live], 0])
+            if len(out) + born > limit:
+                raise EnumerationLimitError(f"more than {limit} independent sets")
+            out.extend(_leaves(cands[start:stop], start, link, verts, k))
+        elif (children := _children(cands[start:stop], pc, start, need, link, fwd, verts)):
+            stack.append(children)
     return out
+
+
+def _leaves(parents: np.ndarray, start: int, link, verts: np.ndarray,
+            k: int) -> list[tuple[int, ...]]:
+    """The k-sets below the nodes start, start + 1, ... of a frame that needs
+    one more vertex, whose candidate bitsets are `parents`: one gather per
+    level rebuilds each set from the links."""
+    pidx, v = _kept(parents, None, 1, 64 * parents.shape[1])
+    sets = np.empty((len(v), k), dtype=verts.dtype)
+    sets[:, -1] = verts[v]
+    idx = pidx + start
+    for col in range(k - 2, -1, -1):
+        labels, up, link = link
+        sets[:, col] = labels[idx]
+        idx = up[idx]
+    return list(map(tuple, sets.tolist()))
+
+
+def _children(parents: np.ndarray, pc: np.ndarray, start: int, need: int, link,
+              fwd: np.ndarray, verts: np.ndarray) -> Optional[list]:
+    """The frame of the live children of the nodes start, start + 1, ... of
+    a frame that needs `need` > 1 more vertices, whose candidate bitsets are
+    `parents` with popcounts pc; None when every child dies."""
+    words = parents.shape[1]
+    pidx, v = _kept(parents, pc, need, 64 * words)
+    child = np.take(parents, pidx, axis=0)
+    child &= np.take(fwd, v, axis=0)
+    counts = np.bitwise_count(child)
+    cpc = counts[:, 0].astype(np.int32)
+    for w in range(1, words):
+        cpc += counts[:, w]
+    live = np.flatnonzero(cpc >= need - 1)
+    if not len(live):
+        return None
+    return [np.take(child, live, axis=0), cpc[live], 0, need - 1,
+            (verts[v[live]], pidx[live] + start, link)]
 
 
 def enumerate_isets(g: Graph, k: int, limit: int = 5_000_000,
@@ -324,9 +377,9 @@ def enumerate_isets(g: Graph, k: int, limit: int = 5_000_000,
     if k < 1:
         raise ValueError("k must be >= 1")
     sets = _enumerate_sets(g.rows, _vertex_mask(g, within), k, limit, node_budget)
-    if __debug__:
-        for s in sets:
-            assert is_independent(g, s)
+    for s in sets:
+        if not is_independent(g, s):
+            raise AssertionError(f"enumerate_isets returned a dependent set {s}")
     return IsetFamily(k=k, sets=tuple(sets), coverage=_coverage_of(sets))
 
 

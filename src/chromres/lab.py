@@ -18,8 +18,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -80,8 +79,10 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     non-trivial size (AuditBudgetError if the subset count exceeds
     _AUDIT_BUDGET); sampled mode draws `samples` >= 1 subsets per size from
     PCG64([seed, s]) and can only find violations, never certify their
-    absence. Sizes are scanned in ascending order, subsets in the order their
-    source yields them. ValueError unless 0 < p < 1, np > 1 and epsilon > 0.
+    absence. Sizes are scanned in ascending order; exhaustive subsets come in
+    lexicographic order, walked as a DFS that carries each prefix's edge
+    count, and sampled ones in the order drawn. ValueError unless 0 < p < 1,
+    np > 1 and epsilon > 0.
     """
     n = g.n
     if not 0.0 < p < 1.0:  # also rejects NaN
@@ -109,17 +110,15 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def subsets(s: int) -> Iterator[tuple[int, ...]]:
-        if mode == "exhaustive":
-            return combinations(range(n), s)
-        rng = np.random.Generator(np.random.PCG64([seed, s]))
-        return (tuple(int(v) for v in sorted(rng.choice(n, size=s, replace=False)))
-                for _ in range(samples))
-
     violations = []
     for s in sizes:
         limit = math.floor(bound * s)
-        for subset in subsets(s):
+        if mode == "exhaustive":
+            violations.extend(_dense_subsets(g.rows, s, limit))
+            continue
+        rng = np.random.Generator(np.random.PCG64([seed, s]))
+        for _ in range(samples):
+            subset = tuple(int(v) for v in sorted(rng.choice(n, size=s, replace=False)))
             e = _edges_inside(g, mask_of(subset))
             if e > limit:
                 violations.append((subset, s, e))
@@ -128,6 +127,32 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
         violations=tuple(violations), exhaustive=(mode == "exhaustive"),
         checked_sizes=tuple(sizes),
     )
+
+
+def _dense_subsets(rows: tuple[int, ...], size: int,
+                   limit: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(subset, size, edges) for every `size`-subset of the vertices of rows
+    spanning more than `limit` edges, in lexicographic order: a DFS over
+    increasing vertices that carries the chosen mask and its edge count, so
+    adding a vertex costs one popcount."""
+    n = len(rows)
+    out = []
+    chosen: list[int] = []
+
+    def dfs(first: int, mask: int, edges: int) -> None:
+        if len(chosen) == size - 1:
+            for v in range(first, n):
+                e = edges + (rows[v] & mask).bit_count()
+                if e > limit:
+                    out.append(((*chosen, v), size, e))
+            return
+        for v in range(first, n - size + len(chosen) + 1):
+            chosen.append(v)
+            dfs(v + 1, mask | 1 << v, edges + (rows[v] & mask).bit_count())
+            chosen.pop()
+
+    dfs(0, 0, 0)
+    return out
 
 
 # --- concentration sampling ----------------------------------------------
@@ -340,7 +365,10 @@ def run_row(config: ExperimentConfig, n: int, p: float, seed: int) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[dict]:
-    """All rows of the sweep, in canonical (n, p, seed) order."""
+    """All rows of the sweep, in canonical (n, p, seed) order; ValueError
+    unless workers >= 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     keys = [(n, p, seed)
             for n in config.n_list for p in config.p_list for seed in config.seeds]
     if workers > 1:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import functools
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,9 +76,10 @@ def test_matches_reference_dfs(p, s):
         _check(g, within, k)
 
 
-def test_frames_wider_than_a_step():
+def test_frames_wider_than_a_step(monkeypatch):
     # k = 3 on 130 vertices at p = 1/2: the depth-2 frame holds thousands of
-    # nodes, many more than one step expands
+    # nodes, many more than one step of 2^16 bytes expands
+    monkeypatch.setattr(isets, "_STEP_BYTES", 1 << 16)
     g = _graph(0.5)
     within = _mask(130, 1)
     assert len(enumerate_isets(g, 2, within=within)) > 4 * (isets._STEP_BYTES // (64 * 3))
@@ -104,6 +107,54 @@ def _smallest_budget(g, k: int, within: int) -> int:
         else:
             hi = mid
     return hi
+
+
+@pytest.mark.parametrize("step", [1, 1 << 16, isets._STEP_BYTES])
+def test_step_size_only_groups_nodes(monkeypatch, step):
+    # the step sets how many nodes one pass expands, never which: sets, the
+    # smallest passing node budget and the limit trips are the DFS's at any step
+    monkeypatch.setattr(isets, "_STEP_BYTES", step)
+    for p, s, k in [(0.5, 130, 2), (0.5, 48, 4), (0.1, 24, 3)]:
+        g = _graph(p)
+        within = _mask(s, k)
+        sets, nodes = count_dfs_nodes_reference(g.rows, within, k)
+        assert sets == enumerate_sets_reference(g.rows, within, k, 10**9)
+        assert enumerate_isets(g, k, within=within).sets == tuple(sets)
+        assert _smallest_budget(g, k, within) == nodes
+        assert _raises(enumerate_isets, g, k, limit=len(sets) - 1, within=within)
+        assert not _raises(enumerate_isets, g, k, limit=len(sets), within=within)
+
+
+def test_threads_share_no_state():
+    # two threads enumerate different graphs and masks at once, calls that
+    # finish and calls that trip a limit; each must see what a serial run sees
+    g1, g2 = _graph(0.5), _graph(0.1)
+    calls = [
+        [(g1, 3, _mask(130, 1), {}), (g1, 4, _mask(100, 2), {"node_budget": 5000}),
+         (g1, 5, _mask(64, 3), {}), (g1, 3, _mask(128, 4), {"limit": 1000})],
+        [(g2, 3, _mask(40, 5), {}), (g2, 4, _mask(30, 6), {"limit": 100}),
+         (g2, 3, _mask(50, 7), {"node_budget": 1000}), (g2, 2, _mask(64, 8), {})],
+    ]
+
+    def run(batch):
+        results = []
+        for g, k, within, kwargs in batch * 2:
+            try:
+                results.append(enumerate_isets(g, k, within=within, **kwargs).sets)
+            except EnumerationLimitError as exc:
+                results.append(str(exc))
+        return results
+
+    serial = [run(batch) for batch in calls]
+    assert all(isinstance(r, str) for r in (serial[0][1], serial[0][3], serial[1][1]))
+    barrier = threading.Barrier(2)
+
+    def worker(batch):
+        barrier.wait()
+        return run(batch)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(worker, calls)) == serial
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

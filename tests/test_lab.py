@@ -92,6 +92,15 @@ class TestDensityAudit:
         assert sampled.checked_sizes == report.checked_sizes
         assert set(sampled.violations) <= set(expected)
 
+    def test_matches_brute_force_over_three_sizes(self):
+        # a planted 9-clique makes thousands of violations at sizes 5, 6 and 7,
+        # so their order within and across sizes is checked at scale
+        g = union(gnp(21, 0.12, 5), EdgeSet.from_pairs(combinations(range(9), 2)))
+        report = density_audit(g, 0.12, 5.0)
+        assert report.checked_sizes == (5, 6, 7)
+        assert len(report.violations) > 5000
+        assert report.violations == density_audit_reference(g, 0.12, 5.0)
+
     def test_budget_guard(self):
         from chromres.lab import _AUDIT_BUDGET, AuditBudgetError
 
@@ -230,6 +239,13 @@ class TestExperiment:
         t2 = comparable_table(run_experiment(config, workers=3))
         assert t1 == t2
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        config = parse_config(CONFIG_TEXT + f"csv = {tmp_path / 'rows.csv'}\n")
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(config, workers=workers)
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_csv_json_roundtrip(self, tmp_path):
         csv_path = tmp_path / "rows.csv"
         json_path = tmp_path / "rows.json"
@@ -335,6 +351,14 @@ class TestCli:
                    and "implausible" in str(w.message)]
         assert len(flagged) == implausible
         assert json.loads(capsys.readouterr().out)["num_colors"] >= 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_experiment_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        assert cli_main(["experiment", str(cfg), "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "workers must be >= 1" in captured.err
 
     def test_audit(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
