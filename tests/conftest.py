@@ -5,11 +5,13 @@ are enumerated by bitmask, colorings by plain recursive assignment in vertex
 order, so they stay valid yardsticks for the clever implementations. The
 `*_reference` functions generate, write and parse graphs one pair at a time
 with Python ints, take induced subgraphs bit by bit, match bounded-degree
-stubs pair by pair, enumerate independent sets by a recursive DFS, check
+stubs pair by pair, enumerate independent sets by a recursive DFS, count
+pair coverage, cap families and pick sparse members one tuple at a time,
+strip a coloring with a fresh enumeration at every ladder step, check
 colorings edge by edge, and run the exact searches with a first-fit clique
 cover and vertex choices that scan every vertex at every node; the
-differential tests hold the package's bitset and incremental versions to
-them.
+differential tests hold the package's bitset, array and incremental versions
+to them.
 """
 
 from __future__ import annotations
@@ -24,17 +26,22 @@ import numpy as np
 
 from chromres import (
     Coloring,
+    ColoringTrace,
     EdgeSet,
     EnumerationLimitError,
     GnpParams,
     Graph,
     GraphFormatError,
+    IsetFamily,
     SearchBudgetError,
     SizeLimitError,
+    StripKnobs,
     chromatic_exact,
+    degeneracy_color,
     find_coloring,
     union,
 )
+from chromres.analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -348,6 +355,138 @@ def dsatur_reference(g: Graph) -> Coloring:
             if colors[w] < 0:
                 neigh_colors[w].add(c)
     return Coloring(tuple(colors), max(colors) + 1)
+
+
+# --- family and stripping references ----------------------------------
+
+
+def coverage_reference(sets: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """Pair coverage one pair at a time, keyed in order of first appearance."""
+    cov: dict[tuple[int, int], int] = {}
+    for s in sets:
+        for i in range(len(s)):
+            for j in range(i + 1, len(s)):
+                pr = (s[i], s[j])
+                cov[pr] = cov.get(pr, 0) + 1
+    return cov
+
+
+def uniform_family_reference(family: IsetFamily, cap: float) -> IsetFamily:
+    """Snapshot deletion by a scan of each set's pairs against the bad ones."""
+    snapshot = family.coverage
+    bad = {pr for pr, c in snapshot.items() if c > cap}
+    kept = [s for s in family.sets if bad.isdisjoint(combinations(s, 2))]
+    return IsetFamily(
+        k=family.k,
+        sets=tuple(kept),
+        coverage=coverage_reference(kept),
+        cap=cap,
+        excess_mass=sum(snapshot[pr] for pr in bad),
+        deleted=len(family.sets) - len(kept),
+    )
+
+
+def sparse_iset_reference(family: IsetFamily, e: EdgeSet) -> tuple[tuple[int, ...], int]:
+    """First member with the fewest pairs of e, by a scan of every pair."""
+    pair_list = e.sorted_pairs()
+    best_set = None
+    best_count = None
+    for s in family.sets:
+        members = set(s)
+        count = sum(1 for u, v in pair_list if u in members and v in members)
+        if best_count is None or count < best_count:
+            best_set, best_count = s, count
+    return best_set, best_count
+
+
+def _greedy_strip_reference(g: Graph, alive: int) -> tuple[int, ...]:
+    """Minimum-degree strip inside the mask, lowest label among ties."""
+    out = []
+    while alive:
+        v = min((u for u in range(g.n) if (alive >> u) & 1),
+                key=lambda u: ((g.rows[u] & alive).bit_count(), u))
+        out.append(v)
+        alive &= ~(g.rows[v] | (1 << v))
+    return tuple(sorted(out))
+
+
+def strip_color_reference(base: Graph, added: EdgeSet, epsilon: float,
+                          profile: AnalyticProfile, knobs: StripKnobs = StripKnobs()):
+    """strip_color's documented rounds with nothing carried between them:
+    every ladder step runs from k_target down and enumerates afresh with
+    enumerate_sets_reference (default set limit, knobs.node_budget), with
+    no alpha bound and no cached family; coverage, the cap and the sparse
+    pick are the one-tuple-at-a-time references above."""
+    n, p, theta = base.n, profile.p, profile.theta
+    full = union(base, added)
+    threshold = (n / (math.log(n) ** 2) if knobs.variant == "local"
+                 else epsilon * n / (16.0 * math.log(n * p)))
+    i0 = max(0, math.ceil(math.log2(n / threshold))) if threshold < n else 0
+    buckets = [0] * i0
+    flags: list[str] = []
+    rounds = []
+    colors = [-1] * n
+    next_color = 0
+    remaining = (1 << n) - 1
+    while remaining and (s := remaining.bit_count()) > threshold:
+        greedy_set = _greedy_strip_reference(base, remaining)
+        k_target = min(max(profile.k, compute_k0(s, p, theta) or 1, len(greedy_set)), s)
+        route, chosen = "greedy", greedy_set
+        if s <= knobs.family_size_limit:
+            fam = None
+            for k_try in range(k_target, 1, -1):
+                try:
+                    sets = enumerate_sets_reference(base.rows, remaining, k_try, 5_000_000,
+                                                    knobs.node_budget)
+                except EnumerationLimitError:
+                    flags.append(f"enumeration-budget@s={s}")
+                    if s <= 120:
+                        chosen = max_independent_set_reference(base, 120, within=remaining)
+                        route = "exact-alpha"
+                        flags.append(f"exact-alpha-fallback@s={s}")
+                    break
+                if sets:
+                    fam = IsetFamily(k=k_try, sets=tuple(sets), coverage=coverage_reference(sets))
+                    break
+            if fam is not None:
+                route = "enum"
+                _, log_mu0 = expected_counts(s, p, fam.k)
+                capped = uniform_family_reference(fam, CAP_MULTIPLIER * math.exp(log_mu0))
+                if capped.sets:
+                    fam, route = capped, "family"
+                inside = EdgeSet(frozenset(
+                    (u, v) for u, v in added.pairs if (remaining >> u) & 1 and (remaining >> v) & 1))
+                chosen, _ = sparse_iset_reference(fam, inside)
+        if route == "greedy":
+            flags.append(f"greedy-fallback@s={s}")
+        planted = sum(full.has_edge(u, v) for u, v in combinations(chosen, 2))
+        chosen_mask = sum(1 << v for v in chosen)
+        final = _greedy_strip_reference(full, chosen_mask)
+        for v in final:
+            colors[v] = next_color
+        next_color += 1
+        if i0 > 0:
+            buckets[min(max(math.floor(math.log2(n / s)) + 1, 1), i0) - 1] += 1
+        rounds.append((s, k_target, route, len(final), planted))
+        remaining &= ~sum(1 << v for v in final)
+    residual_colors = 0
+    if remaining:
+        sub, sub_map = induced_subgraph_reference(full, [v for v in range(n) if (remaining >> v) & 1])
+        res, _ = degeneracy_color(sub)
+        for i, v in enumerate(sub_map):
+            colors[v] = next_color + res.colors[i]
+        residual_colors = res.num_colors
+        next_color += residual_colors
+    trace = ColoringTrace(
+        bucket_counts=tuple(buckets),
+        i0=i0,
+        residual_colors=residual_colors,
+        k_used=rounds[0][1] if rounds else 0,
+        residual_threshold=threshold,
+        fidelity_flags=tuple(flags),
+        rounds=tuple(rounds),
+    )
+    return Coloring(tuple(colors), next_color), trace
 
 
 # --- resilience oracle references --------------------------------------

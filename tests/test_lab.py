@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -325,6 +326,23 @@ class TestCli:
                          "--t", "5"]) == 0
         wrapper = json.loads(capsys.readouterr().out)
         assert wrapper["m"] == len(wrapper["edges"])
+
+    # stdout is part of the contract: the sets in lexicographic order, then
+    # the coverage histogram in the order the coverage dict first meets each
+    # pair; n = 110 at k = 5 gives a family of 123851 sets
+    @pytest.mark.parametrize("n, args, digest", [
+        (12, ["--k", "3"], "8c87d6914f2857c94a841a16ed5276712b5bc246df43498612db80f06de1e91d"),
+        (12, ["--k", "3", "--cap", "4"],
+         "f3377a38960beeeb18fff5340578c94359eb784ec68b0fdcdb9f2081e528f486"),
+        (110, ["--k", "5"], "b5dc9fc88064e0c12aa2fcf413f2e00e4dd2279c5da47f9a5829af4efecf52f1"),
+    ])
+    def test_isets_stdout_bytes(self, tmp_path, capsys, n, args, digest):
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", str(n), "--p", "0.5", "--seed", "1",
+                         "--out", str(p)]) == 0
+        capsys.readouterr()
+        assert cli_main(["isets", str(p), *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("cap", ["nan", "-1", "inf"])
     def test_isets_cap_must_be_nonnegative(self, tmp_path, capsys, cap):
