@@ -40,7 +40,10 @@ def plant_clique(g: Graph, target_vertices: Iterable[int]) -> EdgeSet:
 
 
 def random_budget(g: Graph, m: int, seed: int) -> EdgeSet:
-    """m uniformly chosen distinct non-edges of g, deterministic in seed."""
+    """m uniformly chosen distinct non-edges of g, deterministic in seed;
+    ValueError unless 0 <= m <= the number of non-edges."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     non_edges = g.non_edges()
     if m > len(non_edges):
         raise ValueError(f"m={m} exceeds the {len(non_edges)} non-edges available")

@@ -18,19 +18,21 @@ import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
+import numpy as np
+
 from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
-from .graph import EdgeSet, Graph, _edges_inside, _members, induced_subgraph, mask_of, union
+from .graph import EdgeSet, Graph, _bits, _edges_inside, _members, induced_subgraph, mask_of, union
 from .isets import (
     EnumerationLimitError,
-    IsetFamily,
     SizeLimitError,
+    _capped,
+    _enumerate_sets,
+    _pair_keys,
     _restricted,
-    enumerate_isets,
+    _sparsest,
     max_independent_set,
     min_degree_vertex,
-    sparse_iset,
     turan_extract,
-    uniform_family,
 )
 
 
@@ -300,11 +302,11 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     S is held as a bitmask over the original vertex labels and every search
     runs on that mask of base or of the union, never on a relabelled copy;
-    the residue is the one induced subgraph built per call. Each family is
-    enumerated once while the ladder stays at its size: a later step at the
-    same size filters the last enumerated family to S (isets._restricted),
-    which gives the fresh enumeration's sets, order, coverage and limit
-    trips; a step at another size, or after a blown budget, enumerates.
+    the residue is the one induced subgraph built per call. Families are
+    arrays of sets, and the added pairs become keys once per call. A later
+    step at the size of the last enumerated family filters it to S
+    (isets._restricted), which gives the fresh enumeration's sets, order and
+    limit trips; a step at another size, or after a blown budget, enumerates.
     """
     if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
@@ -321,6 +323,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     buckets = [0] * i0
     flags: list[str] = []
     rounds: list[tuple[int, int, str, int, int]] = []
+    added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
+    added_keys = added_uv[:, 0] * n + added_uv[:, 1]  # ascending
 
     colors: list[int] = [-1] * n
     next_color = 0
@@ -332,10 +336,10 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     # skipped step could have tripped a limit either.
     alpha_bound = n
     # The family of the last step that enumerated or filtered without error,
-    # with one vertex mask per set. A later step at its k filters it to the
+    # an (m, k) array of labels. A later step at its k filters it to the
     # remainder (isets._restricted) instead of enumerating: S only shrinks,
     # so that equals a fresh enumeration and trips no limit one would.
-    cached: Optional[tuple[IsetFamily, list[int]]] = None
+    cached: Optional[np.ndarray] = None
 
     while remaining and (s := remaining.bit_count()) > threshold:
         greedy_set = turan_extract(base, remaining)
@@ -346,14 +350,15 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         chosen: tuple[int, ...] = greedy_set
         if s <= knobs.family_size_limit:
             fam = None
+            alive = _bits([remaining], (n + 7) >> 3)[0]
             k_try = min(k_target, alpha_bound)
             while k_try >= 2:
-                if cached is not None and cached[0].k == k_try:
-                    cached = _restricted(*cached, remaining)
+                if cached is not None and cached.shape[1] == k_try:
+                    cached = _restricted(cached, alive)
                 else:
                     try:
-                        cand = enumerate_isets(base, k_try, node_budget=knobs.node_budget,
-                                               within=remaining)
+                        cached = _enumerate_sets(base.rows, remaining, k_try,
+                                                 node_budget=knobs.node_budget)
                     except EnumerationLimitError:
                         flags.append(f"enumeration-budget@s={s}")
                         if s <= _EXACT_ALPHA_LIMIT:
@@ -363,23 +368,23 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                             route = "exact-alpha"
                             flags.append(f"exact-alpha-fallback@s={s}")
                         break
-                    cached = (cand, [mask_of(t) for t in cand.sets])
-                if cached[0].sets:
-                    fam = cached[0]
+                if len(cached):
+                    fam = cached
                     break
                 k_try -= 1
                 alpha_bound = k_try
             if fam is not None:
-                route = "enum"
-                _, log_mu0 = expected_counts(s, p, fam.k)
-                capped = uniform_family(fam, CAP_MULTIPLIER * math.exp(log_mu0))
-                if capped.sets:
-                    fam = capped
-                    route = "family"
+                _, log_mu0 = expected_counts(s, p, k_try)
+                cap = CAP_MULTIPLIER * math.exp(log_mu0)
+                keys = _pair_keys(fam, n)
+                kept, _ = _capped(keys, cap)
+                route = "family" if kept.any() else "enum"
+                if route == "family":
+                    fam, keys = fam[kept], keys[kept]
                 # the averaging bound counts only the added pairs inside S
-                inside = EdgeSet(frozenset(
-                    (u, v) for u, v in added.pairs if (remaining >> u) & 1 and (remaining >> v) & 1))
-                chosen, _ = sparse_iset(fam, inside)
+                inside = added_keys[alive[added_uv[:, 0]] & alive[added_uv[:, 1]]]
+                row, _ = _sparsest(keys, inside, cap if route == "family" else None)
+                chosen = tuple(fam[row].tolist())
         chosen_mask = mask_of(chosen)
         if route == "greedy":
             flags.append(f"greedy-fallback@s={s}")

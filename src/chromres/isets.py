@@ -15,17 +15,22 @@ of a step, paid with the GIL held, is small against its numpy work. The
 maximum independent set search runs on bitsets over the mask's vertices
 relabelled in its cover order and builds its clique-cover bound one class
 at a time, the classes of first-fit in that order. Both read the relabelled
-adjacency from graph._projected, in its blocks; graph's _bits and _ints are
-the only conversions between adjacency rows and bit arrays. _restricted
-filters an enumerated family to a sub-mask; it equals enumerating the
-sub-mask afresh, which is how stripping reuses one family across rounds.
+adjacency from graph._projected; the enumeration stacks it into one s x s
+matrix, from which it builds its forward sets and checks every set it
+returns. graph's _bits and _ints are the only conversions between adjacency
+rows and bit arrays.
+
+A family is one (m, k) array of labels, a set per row, from enumeration
+through stripping; coverage, the cap and the sparse pick run on its pairs as
+int64 keys u * n + v. The public functions wrap these helpers and alone
+build tuples and the coverage dict.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -41,6 +46,10 @@ from .graph import EdgeSet, Graph, _ints, _members, _projected, mask_of
 # threads mostly waited on each other. At 2^18 a step's temporaries are a few
 # hundred kB, freed before the next step.
 _STEP_BYTES = 1 << 18
+
+# Sets an enumeration may return before it raises EnumerationLimitError,
+# unless the caller passes another limit.
+_SET_LIMIT = 5_000_000
 
 
 class SizeLimitError(RuntimeError):
@@ -201,10 +210,7 @@ class IsetFamily:
         return len(self.sets)
 
     def coverage_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for c in self.coverage.values():
-            hist[c] = hist.get(c, 0) + 1
-        return hist
+        return dict(Counter(self.coverage.values()))  # in the coverage's order
 
     def to_json(self) -> dict:
         return {
@@ -217,31 +223,48 @@ class IsetFamily:
         }
 
 
-def _coverage_of(sets: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
-    cov: dict[tuple[int, int], int] = {}
-    for s in sets:
-        for i in range(len(s)):
-            for j in range(i + 1, len(s)):
-                pr = (s[i], s[j])
-                cov[pr] = cov.get(pr, 0) + 1
-    return cov
+def _pair_keys(sets: np.ndarray, n: int) -> np.ndarray:
+    """Key row[i] * n + row[j] of each pair i < j of each row of `sets`, a
+    row's pairs in the order (0, 1), (0, 2), ..., (k - 2, k - 1), as an
+    (m, k(k-1)/2) int64 array; every label must lie below n."""
+    i, j = np.triu_indices(sets.shape[1], 1)
+    return sets[:, i].astype(np.int64) * n + sets[:, j]
 
 
-def _forward_sets(rows: tuple[int, ...], verts: np.ndarray, words: int) -> np.ndarray:
-    """fwd[i] is the set of positions j > i whose vertex verts[j] is not
-    adjacent to verts[i], over the ascending labels verts, packed
-    little-endian into `words` uint64 words per row."""
-    s = len(verts)
-    fwd = np.zeros((s, 8 * words), dtype=np.uint8)
-    cols = np.arange(s)
-    r0 = 0
-    for adj in _projected(rows, verts):
-        r1 = r0 + len(adj)
-        above = cols[None, :] > np.arange(r0, r1)[:, None]
-        packed = np.packbits(above & ~adj, axis=1, bitorder="little")
-        fwd[r0:r1, :packed.shape[1]] = packed
-        r0 = r1
-    return fwd.view("<u8")
+def _coverage(keys: np.ndarray, n: int) -> dict[tuple[int, int], int]:
+    """Pair -> rows of `keys` holding it, in the order a walk of the rows
+    first meets each pair."""
+    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    u, v = np.divmod(uniq[order], n)
+    return dict(zip(zip(u.tolist(), v.tolist()), counts[order].tolist()))
+
+
+def _capped(keys: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
+    """(kept, excess): which rows of `keys` hold no pair covered more than
+    cap times, and the coverage mass of the pairs that are; the kept rows'
+    coverage is checked against the cap."""
+    if not 0 <= cap < math.inf:  # also rejects NaN
+        raise ValueError(f"cap must be >= 0 and finite, got {cap}")
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(keys.shape)
+    kept = ~(counts > cap)[inverse].any(axis=1)
+    if (np.bincount(inverse[kept].ravel(), minlength=len(uniq)) > cap).any():
+        raise AssertionError(f"capped family still covers a pair more than {cap} times")
+    return kept, int(counts[counts > cap].sum())
+
+
+def _sparsest(keys: np.ndarray, e_keys: np.ndarray, cap: Optional[float]) -> tuple[int, int]:
+    """(row, count): the first row of `keys` holding the fewest of the
+    sorted, distinct pair keys e_keys, and that number. When cap is set, the
+    averaging bound count <= ceil(cap * |e_keys| / rows) is checked."""
+    counts = (np.searchsorted(e_keys, keys, "right") - np.searchsorted(e_keys, keys)).sum(axis=1)
+    row = int(np.argmin(counts))
+    count = int(counts[row])
+    if cap is not None and count > (bound := math.ceil(cap * len(e_keys) / len(keys))):
+        raise AssertionError(f"sparsest member has {count} pairs, "
+                             f"above the averaging bound {bound}")
+    return row, count
 
 
 def _kept(parents: np.ndarray, pc: Optional[np.ndarray], need: int,
@@ -260,9 +283,10 @@ def _kept(parents: np.ndarray, pc: Optional[np.ndarray], need: int,
     return np.divmod(found.astype(np.int32), width)
 
 
-def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
-                    node_budget: Optional[int] = None) -> list[tuple[int, ...]]:
-    """Every independent k-set of the mask `within`, lexicographically sorted.
+def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SET_LIMIT,
+                    node_budget: Optional[int] = None) -> np.ndarray:
+    """Every independent k-set of the mask `within`, lexicographically sorted,
+    one per row of an (m, k) int32 array; each is checked independent.
 
     The search tree is the plain DFS over increasing labels. A node is a
     chosen prefix and its candidates (the vertices above its last choice
@@ -288,18 +312,23 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
     """
     s = within.bit_count()
     if k > s:
-        return []
+        return np.empty((0, k), dtype=np.int32)
     nodes = 1
     if node_budget is not None and nodes > node_budget:
         raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
     verts = np.array(_members(within), dtype=np.int32)
+    adj = np.concatenate(list(_projected(rows, verts)))  # among verts, s x s
     words = (s + 63) >> 6
     width = 64 * words  # bits in one candidate bitset
-    fwd = _forward_sets(rows, verts, words)
+    # fwd[i]: the positions j > i whose vertex is not adjacent to verts[i]
+    fwd = np.zeros((s, 8 * words), dtype=np.uint8)
+    fwd[:, :(s + 7) >> 3] = np.packbits(np.triu(~adj, 1), axis=1, bitorder="little")
+    fwd = fwd.view("<u8")
     per_step = max(1, _STEP_BYTES // width)  # parents expanded per step
     root = np.zeros((1, 8 * words), dtype=np.uint8)
     root[0, :(s + 7) >> 3] = np.packbits(np.ones(s, dtype=np.uint8), bitorder="little")
-    out: list[tuple[int, ...]] = []
+    out: list[np.ndarray] = []
+    found = 0
     # frame: [candidate bitsets, candidate counts, next pending node, need, link];
     # a node's link is (label it chose last, index of its parent in the frame
     # below, that frame's link) as arrays over the frame, None at the root
@@ -321,16 +350,22 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int,
         # a step's temporaries live inside _leaves and _children, so they are
         # freed before the next step allocates its own
         if need == 1:
-            if len(out) + born > limit:
+            found += born
+            if found > limit:
                 raise EnumerationLimitError(f"more than {limit} independent sets")
-            out.extend(_leaves(cands[start:stop], start, link, verts, k))
+            out.append(_leaves(cands[start:stop], start, link, verts, k))
         elif (children := _children(cands[start:stop], pc, start, need, link, fwd, verts)):
             stack.append(children)
-    return out
+    sets = np.concatenate(out) if out else np.empty((0, k), dtype=np.int32)
+    dependent = adj.ravel()[_pair_keys(np.searchsorted(verts, sets), s)].any(axis=1)
+    if dependent.any():
+        bad = tuple(sets[np.argmax(dependent)].tolist())
+        raise AssertionError(f"enumerate_isets returned a dependent set {bad}")
+    return sets
 
 
 def _leaves(parents: np.ndarray, start: int, link, verts: np.ndarray,
-            k: int) -> list[tuple[int, ...]]:
+            k: int) -> np.ndarray:
     """The k-sets below the nodes start, start + 1, ... of a frame that needs
     one more vertex, whose candidate bitsets are `parents`: one gather per
     level rebuilds each set from the links."""
@@ -342,7 +377,7 @@ def _leaves(parents: np.ndarray, start: int, link, verts: np.ndarray,
         labels, up, link = link
         sets[:, col] = labels[idx]
         idx = up[idx]
-    return list(map(tuple, sets.tolist()))
+    return sets
 
 
 def _children(parents: np.ndarray, pc: np.ndarray, start: int, need: int, link,
@@ -365,44 +400,34 @@ def _children(parents: np.ndarray, pc: np.ndarray, start: int, need: int, link,
             (verts[v[live]], pidx[live] + start, link)]
 
 
-def enumerate_isets(g: Graph, k: int, limit: int = 5_000_000,
+def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
                     node_budget: Optional[int] = None,
                     within: Optional[int] = None) -> IsetFamily:
     """All independent sets of size exactly k inside the vertex mask `within`
     (default: all of g), with pair coverage filled.
 
     Raises EnumerationLimitError if their number would exceed `limit` or,
-    when node_budget is set, if the search tree outgrows it.
+    when node_budget is set, if the search tree outgrows it; ValueError
+    unless k >= 1 and limit >= 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     sets = _enumerate_sets(g.rows, _vertex_mask(g, within), k, limit, node_budget)
-    for s in sets:
-        if not is_independent(g, s):
-            raise AssertionError(f"enumerate_isets returned a dependent set {s}")
-    return IsetFamily(k=k, sets=tuple(sets), coverage=_coverage_of(sets))
+    return IsetFamily(k=k, sets=tuple(map(tuple, sets.tolist())),
+                      coverage=_coverage(_pair_keys(sets, g.n), g.n))
 
 
-def _restricted(family: IsetFamily, masks: list[int],
-                within: int) -> tuple[IsetFamily, list[int]]:
-    """The members of `family` inside the vertex mask `within`, in their
-    order and with coverage recounted, and their masks; masks[i] is the
-    vertex mask of family.sets[i].
+def _restricted(sets: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The rows of `sets` inside `alive`, a bool array over the labels.
 
-    When `family` is enumerate_isets(g, k, within=S) for a superset S of
-    `within`, this is enumerate_isets(g, k, within=within) with the same
-    node_budget and limit: a k-set inside `within` is a k-set of S, and
-    filtering keeps the lexicographic order. The DFS tree on `within` is a
-    subtree of the one on S (a child on `within` has at least need - 1
-    candidates above it there, so at least as many on S, and its candidates
-    on `within` are a subset of those on S), so neither limit can trip on
-    `within` when it did not on S.
-    """
-    outside = ~within
-    keep = [i for i, m in enumerate(masks) if not m & outside]
-    sets = [family.sets[i] for i in keep]
-    return (IsetFamily(k=family.k, sets=tuple(sets), coverage=_coverage_of(sets)),
-            [masks[i] for i in keep])
+    If sets is _enumerate_sets(rows, S, k) and alive a subset S' of S, this
+    is _enumerate_sets(rows, S', k): a k-set of S' is one of S, filtering
+    keeps the order, and the DFS tree on S' is a subtree of the one on S (a
+    node's candidates on S' are a subset of its candidates on S), so no
+    limit trips on S' that did not on S."""
+    return sets[alive[sets].all(axis=1)]
 
 
 def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
@@ -417,45 +442,32 @@ def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
     0 <= cap < inf (a NaN cap would delete nothing and label the family NaN,
     and an infinite one would label it with a number JSON cannot hold).
     """
-    if not 0 <= cap < math.inf:  # also rejects NaN
-        raise ValueError(f"cap must be >= 0 and finite, got {cap}")
-    snapshot = family.coverage
-    bad = {pr for pr, c in snapshot.items() if c > cap}
-    kept = [s for s in family.sets if bad.isdisjoint(combinations(s, 2))]
-    fam = IsetFamily(
+    sets = np.array(family.sets, dtype=np.int64).reshape(len(family), family.k)
+    n = int(sets.max(initial=0)) + 1
+    keys = _pair_keys(sets, n)
+    kept, excess = _capped(keys, cap)
+    return IsetFamily(
         k=family.k,
-        sets=tuple(kept),
-        coverage=_coverage_of(kept),
+        sets=tuple(s for s, keep in zip(family.sets, kept.tolist()) if keep),
+        coverage=_coverage(keys[kept], n),
         cap=cap,
-        excess_mass=sum(snapshot[pr] for pr in bad),
-        deleted=len(family.sets) - len(kept),
+        excess_mass=excess,
+        deleted=len(kept) - int(kept.sum()),
     )
-    if any(c > cap for c in fam.coverage.values()):
-        raise AssertionError(f"capped family still covers a pair more than {cap} times")
-    return fam
 
 
 def sparse_iset(family: IsetFamily, e: EdgeSet) -> tuple[tuple[int, ...], int]:
     """Member set containing the fewest pairs of e, with that count.
 
-    Linear scan over the family, first minimizer wins (sets are stored in
-    lexicographic order, so this is deterministic). When the family carries a
-    cap, the averaging bound count <= ceil(cap * |e| / |family|) is checked,
-    so e must hold only pairs among the family's vertex set.
+    First minimizer wins (sets are stored in lexicographic order, so this is
+    deterministic). When the family carries a cap, the averaging bound
+    count <= ceil(cap * |e| / |family|) is checked, so e must hold only
+    pairs among the family's vertex set.
     """
     if not family.sets:
         raise ValueError("family is empty")
-    pair_list = e.sorted_pairs()
-    best_set = None
-    best_count = None
-    for s in family.sets:
-        members = set(s)
-        count = sum(1 for u, v in pair_list if u in members and v in members)
-        if best_count is None or count < best_count:
-            best_set, best_count = s, count
-    if family.cap is not None:
-        bound = math.ceil(family.cap * e.m / len(family.sets))
-        if best_count > bound:
-            raise AssertionError(f"sparsest member has {best_count} pairs, "
-                                 f"above the averaging bound {bound}")
-    return best_set, best_count
+    sets = np.sort(np.array(family.sets, dtype=np.int64), axis=1)
+    pairs = np.array(sorted(e.pairs), dtype=np.int64).reshape(e.m, 2)
+    n = int(max(sets.max(), pairs.max(initial=0))) + 1
+    row, count = _sparsest(_pair_keys(sets, n), pairs[:, 0] * n + pairs[:, 1], family.cap)
+    return family.sets[row], count

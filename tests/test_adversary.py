@@ -66,6 +66,11 @@ class TestRandomBudget:
         with pytest.raises(ValueError):
             random_budget(Graph.complete(4), 1, 0)
 
+    def test_negative_budget(self):
+        # rejected where it enters, not deep inside numpy's sampler
+        with pytest.raises(ValueError, match="m must be >= 0"):
+            random_budget(Graph.empty(4), -1, 0)
+
     def test_deterministic_and_valid(self):
         g = gnp(30, 0.5, 8)
         a = random_budget(g, 12, 4)

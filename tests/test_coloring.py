@@ -286,21 +286,21 @@ def test_ladder_starts_at_proven_alpha_bound(monkeypatch):
     added = plant_clique(base, range(22))
     calls = []  # (size, k, found) for every ladder step, fresh or restricted
     fresh = []  # k of every fresh enumeration
-    real = coloring_module.enumerate_isets
+    real = coloring_module._enumerate_sets
     real_restricted = coloring_module._restricted
 
-    def spy(g, k, *args, within=None, **kwargs):
-        fam = real(g, k, *args, within=within, **kwargs)
-        calls.append((within.bit_count(), k, len(fam)))
+    def spy(rows, within, k, *args, **kwargs):
+        sets = real(rows, within, k, *args, **kwargs)
+        calls.append((within.bit_count(), k, len(sets)))
         fresh.append(k)
-        return fam
+        return sets
 
-    def restricted_spy(family, masks, within):
-        fam, kept = real_restricted(family, masks, within)
-        calls.append((within.bit_count(), fam.k, len(fam)))
-        return fam, kept
+    def restricted_spy(sets, alive):
+        kept = real_restricted(sets, alive)
+        calls.append((int(alive.sum()), kept.shape[1], len(kept)))
+        return kept
 
-    monkeypatch.setattr(coloring_module, "enumerate_isets", spy)
+    monkeypatch.setattr(coloring_module, "_enumerate_sets", spy)
     monkeypatch.setattr(coloring_module, "_restricted", restricted_spy)
     _, trace = strip_color(base, added, 1.0, build_profile(150, 0.5, 1.0))
     # later rounds at a size already enumerated filter that family

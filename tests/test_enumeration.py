@@ -9,8 +9,9 @@ family raises where the family's own size does not. Every set is a leaf of
 the tree below a root that holds none, so a family is always smaller than N:
 a set limit at or above the node budget can never trip first.
 
-strip_color filters a family enumerated on a remainder S to each later
-remainder S' inside it (isets._restricted) instead of enumerating again:
+strip_color filters a family, an array of sets enumerated on a remainder S,
+to each later remainder S' inside it (isets._restricted) instead of
+enumerating again:
 that must give the fresh family of S', and a budget that passes on S must
 pass on S', because the DFS tree on S' is a subtree of the one on S.
 """
@@ -22,6 +23,7 @@ import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,15 +171,15 @@ def test_restriction_equals_fresh_enumeration(seed):
     for _ in range(2):
         chain.append(chain[-1] & ~mask_of(rng.sample(range(n), rng.randint(1, min(4, n)))))
     for k in rng.sample(range(1, 6), 3):
-        fam = enumerate_isets(g, k, within=chain[0])
-        masks = [mask_of(s) for s in fam.sets]
+        sets = isets._enumerate_sets(g.rows, chain[0], k)
+        assert tuple(map(tuple, sets.tolist())) == enumerate_isets(g, k, within=chain[0]).sets
         budget = _smallest_budget(g, k, chain[0])
         for within in chain[1:]:
-            fam, masks = isets._restricted(fam, masks, within)
+            sets = isets._restricted(sets, np.array([(within >> v) & 1 for v in range(n)], bool))
             fresh = enumerate_isets(g, k, within=within)
-            assert fam.k == k
-            assert fam.sets == fresh.sets
-            assert fam.coverage == fresh.coverage
-            assert masks == [mask_of(s) for s in fresh.sets]
+            assert sets.shape[1] == k
+            assert tuple(map(tuple, sets.tolist())) == fresh.sets
+            assert isets._coverage(isets._pair_keys(sets, n), n) == fresh.coverage
+            assert [mask_of(s) for s in sets.tolist()] == [mask_of(s) for s in fresh.sets]
             assert not _raises(enumerate_isets, g, k, node_budget=budget, within=within)
             assert not _raises(enumerate_isets, g, k, limit=len(fresh), within=within)

@@ -141,6 +141,13 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_isets(Graph.empty(4), 0)
 
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_negative_limit(self, k):
+        # k = 5 exceeds the 4 vertices: an empty family, but the limit is
+        # still rejected
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            enumerate_isets(Graph.empty(4), k, limit=-1)
+
 
 class TestUniformFamily:
     def test_pairs_under_cap_all_retained(self):

@@ -344,6 +344,19 @@ class TestCli:
         assert cli_main(["isets", str(p), *args]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, message", [
+        (["isets", "--k", "3", "--limit", "-1"], "limit must be >= 0"),
+        (["attack", "--strategy", "random_budget", "--m", "-1"], "m must be >= 0"),
+    ])
+    def test_negative_sizes_exit_1(self, tmp_path, capsys, argv, message):
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "12", "--p", "0.5", "--seed", "1",
+                         "--out", str(p)]) == 0
+        capsys.readouterr()
+        assert cli_main([argv[0], str(p), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"ValueError: {message}" in captured.err
+
     @pytest.mark.parametrize("cap", ["nan", "-1", "inf"])
     def test_isets_cap_must_be_nonnegative(self, tmp_path, capsys, cap):
         p = tmp_path / "g.txt"

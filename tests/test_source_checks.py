@@ -143,3 +143,37 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def _function(path: str, name: str) -> ast.FunctionDef:
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_strip_color_reads_added_pairs_once():
+    """strip_color turns the added pairs into arrays before its round loop;
+    a round that walks added.pairs again pays for every pair each round."""
+    fn = _function(os.path.join(SRC, "chromres", "coloring.py"), "strip_color")
+
+    def reads(node: ast.AST) -> list[int]:
+        return [n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "pairs"
+                and isinstance(n.value, ast.Name) and n.value.id == "added"]
+
+    loops = [node for node in fn.body if isinstance(node, ast.While)]
+    assert loops, "strip_color has no round loop"
+    inside = [line for loop in loops for line in reads(loop)]
+    assert not inside, f"added.pairs read inside the round loop at lines {inside}"
+    assert reads(fn), "strip_color no longer reads added.pairs at all"
+
+
+def test_isets_does_not_import_combinations():
+    """The family layer runs on arrays: no itertools.combinations walk."""
+    path = os.path.join(SRC, "chromres", "isets.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "combinations" not in imported and "itertools" not in imported

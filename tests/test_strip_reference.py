@@ -66,8 +66,8 @@ def test_strip_color_matches_reference(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         g = generate_gnp(GnpParams(n, p, rng.randrange(1000)))
+        profile = build_profile(n, p, 1.0)
     added = _added(g, rng.choice(["none", "plant_clique", "random_budget", "bounded_degree"]), rng)
-    profile = build_profile(n, p, 1.0)
     coloring, trace = strip_color(g, added, 1.0, profile, knobs)
     ref_coloring, ref_trace = strip_color_reference(g, added, 1.0, profile, knobs)
     assert coloring == ref_coloring
