@@ -29,7 +29,6 @@ build tuples and the coverage dict.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -210,7 +209,10 @@ class IsetFamily:
         return len(self.sets)
 
     def coverage_histogram(self) -> dict[int, int]:
-        return dict(Counter(self.coverage.values()))  # in the coverage's order
+        hist: dict[int, int] = {}
+        for c in self.coverage.values():
+            hist[c] = hist.get(c, 0) + 1
+        return hist
 
     def to_json(self) -> dict:
         return {
@@ -227,7 +229,8 @@ def _pair_keys(sets: np.ndarray, n: int) -> np.ndarray:
     """Key row[i] * n + row[j] of each pair i < j of each row of `sets`, a
     row's pairs in the order (0, 1), (0, 2), ..., (k - 2, k - 1), as an
     (m, k(k-1)/2) int64 array; every label must lie below n."""
-    i, j = np.triu_indices(sets.shape[1], 1)
+    cols = np.arange(sets.shape[1])
+    i, j = np.nonzero(cols[:, None] < cols)  # as np.triu_indices(k, 1), at less cost
     return sets[:, i].astype(np.int64) * n + sets[:, j]
 
 
