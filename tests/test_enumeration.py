@@ -11,9 +11,9 @@ a set limit at or above the node budget can never trip first.
 
 strip_color filters a family, an array of sets enumerated on a remainder S,
 to each later remainder S' inside it (isets._restricted) instead of
-enumerating again:
-that must give the fresh family of S', and a budget that passes on S must
-pass on S', because the DFS tree on S' is a subtree of the one on S.
+enumerating again: that must give the fresh family of S', and a budget that
+passes on S must pass on S', because the DFS tree on S' is a subtree of the
+one on S.
 """
 
 from __future__ import annotations
