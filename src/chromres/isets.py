@@ -307,11 +307,12 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
     what is left of that frame: sets come out in the DFS's order, and the
     stack holds at most one frame per depth. A step's children number its
     parents' popcounts less need - 1 each, counted before any is built. A
-    frame keeps its nodes' candidates and, as parent pointers, the label
+    frame keeps its nodes' candidates and, as parent pointers, the position
     each chose last and the index of its parent in the frame below; a leaf
-    step rebuilds its sets with one gather per level. The node and set
-    counts are totals over the same tree, so both limits trip exactly when
-    the DFS's do.
+    step rebuilds its sets with one gather per level. Sets stay positions
+    until the end, where they are checked on the adjacency among the mask's
+    vertices and turned into labels. The node and set counts are totals over
+    the same tree, so both limits trip exactly when the DFS's do.
     """
     s = within.bit_count()
     if k > s:
@@ -333,7 +334,7 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
     out: list[np.ndarray] = []
     found = 0
     # frame: [candidate bitsets, candidate counts, next pending node, need, link];
-    # a node's link is (label it chose last, index of its parent in the frame
+    # a node's link is (position it chose last, index of its parent in the frame
     # below, that frame's link) as arrays over the frame, None at the root
     stack = [[root.view("<u8"), np.array([s], dtype=np.int32), 0, k, None]]
     while stack:
@@ -356,35 +357,34 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
             found += born
             if found > limit:
                 raise EnumerationLimitError(f"more than {limit} independent sets")
-            out.append(_leaves(cands[start:stop], start, link, verts, k))
-        elif (children := _children(cands[start:stop], pc, start, need, link, fwd, verts)):
+            out.append(_leaves(cands[start:stop], start, link, k))
+        elif (children := _children(cands[start:stop], pc, start, need, link, fwd)):
             stack.append(children)
-    sets = np.concatenate(out) if out else np.empty((0, k), dtype=np.int32)
-    dependent = adj.ravel()[_pair_keys(np.searchsorted(verts, sets), s)].any(axis=1)
+    pos = np.concatenate(out) if out else np.empty((0, k), dtype=np.int32)
+    dependent = adj.ravel()[_pair_keys(pos, s)].any(axis=1)
     if dependent.any():
-        bad = tuple(sets[np.argmax(dependent)].tolist())
+        bad = tuple(verts[pos[np.argmax(dependent)]].tolist())
         raise AssertionError(f"enumerate_isets returned a dependent set {bad}")
-    return sets
+    return verts[pos]
 
 
-def _leaves(parents: np.ndarray, start: int, link, verts: np.ndarray,
-            k: int) -> np.ndarray:
-    """The k-sets below the nodes start, start + 1, ... of a frame that needs
-    one more vertex, whose candidate bitsets are `parents`: one gather per
-    level rebuilds each set from the links."""
+def _leaves(parents: np.ndarray, start: int, link, k: int) -> np.ndarray:
+    """The k-sets, as positions, below the nodes start, start + 1, ... of a
+    frame that needs one more vertex, whose candidate bitsets are `parents`:
+    one gather per level rebuilds each set from the links."""
     pidx, v = _kept(parents, None, 1, 64 * parents.shape[1])
-    sets = np.empty((len(v), k), dtype=verts.dtype)
-    sets[:, -1] = verts[v]
+    sets = np.empty((len(v), k), dtype=np.int32)
+    sets[:, -1] = v
     idx = pidx + start
     for col in range(k - 2, -1, -1):
-        labels, up, link = link
-        sets[:, col] = labels[idx]
+        chosen, up, link = link
+        sets[:, col] = chosen[idx]
         idx = up[idx]
     return sets
 
 
 def _children(parents: np.ndarray, pc: np.ndarray, start: int, need: int, link,
-              fwd: np.ndarray, verts: np.ndarray) -> Optional[list]:
+              fwd: np.ndarray) -> Optional[list]:
     """The frame of the live children of the nodes start, start + 1, ... of
     a frame that needs `need` > 1 more vertices, whose candidate bitsets are
     `parents` with popcounts pc; None when every child dies."""
@@ -400,7 +400,7 @@ def _children(parents: np.ndarray, pc: np.ndarray, start: int, need: int, link,
     if not len(live):
         return None
     return [np.take(child, live, axis=0), cpc[live], 0, need - 1,
-            (verts[v[live]], pidx[live] + start, link)]
+            (v[live], pidx[live] + start, link)]
 
 
 def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
