@@ -223,11 +223,14 @@ def verify_coloring_reference(g: Graph, colors, num_colors: int) -> bool:
     return used == set(range(num_colors))
 
 
-def max_independent_set_reference(g: Graph, limit: int = 120, within=None) -> tuple[int, ...]:
+def max_independent_set_reference(g: Graph, limit: int = 120, within=None,
+                                  start=None) -> tuple[int, ...]:
     """Branch and bound with a first-fit greedy clique cover over the
     vertices in descending degree inside `within` (ties by label), branching
     on candidates sorted by (cover class, label) from the last, started from
-    the greedy minimum-degree strip (lowest label among ties)."""
+    the greedy minimum-degree strip (lowest label among ties), or, when
+    `start` is given, from no set with bound `start` (an empty result when
+    start >= alpha)."""
     n = g.n
     top = (1 << n) - 1 if within is None else within
     if top >> n:
@@ -248,6 +251,8 @@ def max_independent_set_reference(g: Graph, limit: int = 120, within=None) -> tu
         best.append(v)
         alive &= ~(rows[v] | (1 << v))
     best_size = len(best)
+    if start is not None:
+        best, best_size = [], start
     cur: list[int] = []
 
     def expand(cand: int) -> None:

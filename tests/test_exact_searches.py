@@ -18,6 +18,7 @@ from chromres import (
     find_coloring,
     generate_gnp,
     max_independent_set,
+    turan_extract,
 )
 from conftest import (
     brute_chromatic,
@@ -40,12 +41,14 @@ def _scattered(n: int, count: int, seed: int) -> int:
     return sum(1 << v for v in labels)
 
 
-# (n, p, vertices in the mask; None for the whole graph)
+# (n, p, vertices in the mask; None for the whole graph). (80, 0.2, None)
+# takes both outcomes of max_independent_set's first walk: the turan_extract
+# set (17 members) is maximum at seed 2 and one short of alpha at seed 1.
 MIS_CASES = [
     (200, 0.1, 0), (200, 0.1, 1), (200, 0.1, 45),
     (200, 0.5, 0), (200, 0.5, 1), (200, 0.5, 110),
     (200, 0.9, 1), (200, 0.9, 120),
-    (120, 0.5, None), (60, 0.3, None), (40, 0.9, None), (30, 0.1, None),
+    (120, 0.5, None), (80, 0.2, None), (60, 0.3, None), (40, 0.9, None), (30, 0.1, None),
 ]
 
 
@@ -56,6 +59,42 @@ def test_max_independent_set_matches_reference(n, p, count, seed):
     within = None if count is None else _scattered(n, count, seed)
     assert max_independent_set(g, limit=200, within=within) == \
         max_independent_set_reference(g, limit=200, within=within)
+
+
+def test_mis_cases_take_both_outcomes_of_the_first_walk():
+    """MIS_CASES keeps a case where the turan_extract set is maximum (and is
+    the result) and one where alpha is larger (and the second walk takes the
+    witness), so the differential above checks both."""
+    larger = set()
+    for n, p, count in MIS_CASES:
+        for seed in (1, 2):
+            g = _gnp(n, p, seed)
+            within = None if count is None else _scattered(n, count, seed)
+            alpha = len(max_independent_set(g, limit=200, within=within))
+            larger.add(alpha > len(turan_extract(g, within)))
+    assert larger == {False, True}
+
+
+@DIFF
+@given(st.integers(0, 2**32 - 1))
+def test_reference_records_one_set_from_any_start_below_alpha(seed):
+    """The lemma max_independent_set's second walk rests on: from no set and
+    any starting bound below alpha, the reference records the same set, the
+    first maximum set in its branching order; when the turan_extract set is
+    not maximum, that is also its result from the turan_extract start."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    g = _gnp(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), rng.randrange(10**6))
+    within = rng.getrandbits(n) if rng.random() < 0.7 else None
+    default = max_independent_set_reference(g, limit=n, within=within)
+    alpha, greedy = len(default), len(turan_extract(g, within))
+    starts = {0, alpha - 1} | ({greedy} if greedy < alpha else set())
+    found = {max_independent_set_reference(g, limit=n, within=within, start=b)
+             for b in starts}
+    assert len(found) == 1
+    assert len(next(iter(found))) == alpha
+    if greedy < alpha:
+        assert found == {default}
 
 
 @DIFF
