@@ -14,7 +14,10 @@ candidates' popcounts. The blocks are large so that the fixed Python cost
 of a step, paid with the GIL held, is small against its numpy work. The
 maximum independent set search runs on bitsets over the mask's vertices
 relabelled in its cover order and builds its clique-cover bound one class
-at a time, the classes of first-fit in that order. Both read the relabelled
+at a time, the classes of first-fit in that order. It proves alpha in one
+walk on the ascending-degree order, then, unless the greedy Turan set is
+maximum, takes the first maximum set of the documented descending-degree
+order in a second walk that stops at it. Both searches read the relabelled
 adjacency from graph._projected; the enumeration stacks it into one s x s
 matrix, from which it builds its forward sets and checks every set it
 returns. graph's _bits and _ints are the only conversions between adjacency
@@ -82,18 +85,30 @@ def is_independent(g: Graph, vertices) -> bool:
 def max_independent_set(g: Graph, limit: int = 120,
                         within: Optional[int] = None) -> tuple[int, ...]:
     """Exact maximum independent set of the vertex mask `within` (default:
-    all of g) via branch-and-bound, started from the turan_extract set.
+    all of g) via branch-and-bound: the turan_extract set when that set is
+    maximum, and otherwise the first maximum set in the documented
+    branching order below.
 
     Pruning bound: a greedy clique cover of the candidate set (a clique
     holds at most one vertex of an independent set). The cover takes the
-    candidates in the cover order, descending degree inside `within` with
-    ties by label, and builds one class at a time: a class starts at the
-    first candidate left and takes, in order, every candidate adjacent to
-    all its members so far (the classes of first-fit in that order). The
-    search branches on the candidates from the highest class to the lowest,
-    by descending label inside a class, and stops at the first class whose
-    index cannot beat the incumbent. Bitsets run over the mask's vertices
-    relabelled in cover order, so a class is built by lowest-bit steps.
+    candidates in the cover order and builds one class at a time: a class
+    starts at the first candidate left and takes, in order, every candidate
+    adjacent to all its members so far (the classes of first-fit in that
+    order). The search branches on the candidates from the highest class to
+    the lowest, by descending label inside a class, and stops at the first
+    class whose index cannot beat the incumbent. Bitsets run over the mask's
+    vertices relabelled in cover order, so a class is built by lowest-bit
+    steps.
+
+    The search runs twice. The first walk proves alpha: its cover order is
+    ascending degree inside `within`, ties by label (the order MCQ colours
+    the complement in, which gives a smaller tree), and its incumbent starts
+    as the turan_extract set. If nothing beats that set, it is the result.
+    Otherwise the second walk takes the documented order, descending degree
+    inside `within` with ties by label, starts from no set with bound
+    alpha - 1 and stops at its first set of size alpha. A subtree is cut
+    only when its bound cannot beat the incumbent, so from any starting
+    bound below alpha that walk records the same first set of size alpha.
     Raises SizeLimitError when `within` holds more than `limit` vertices.
     """
     top = _vertex_mask(g, within)
@@ -103,56 +118,74 @@ def max_independent_set(g: Graph, limit: int = 120,
     if size == 0:
         return ()
     rows, n = g.rows, g.n
-    order = sorted(_members(top),
-                   key=lambda v: (-(rows[v] & top).bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # adj[i]: the neighbours of order[i] inside `within`, as positions
-    adj = [row for block in _projected(rows, order) for row in _ints(block)]
+    degree = {v: (rows[v] & top).bit_count() for v in _members(top)}
 
-    best = list(turan_extract(g, top))  # greedy start, never empty for size >= 1
-    best_size = len(best)
-    cur: list[int] = []  # positions
+    def walk(order: list[int], best: list[int], best_size: int,
+             stop: Optional[int] = None) -> list[int]:
+        """The incumbent once the search over cover order `order` ends or
+        first records a set of size stop: best when nothing beats
+        best_size."""
+        pos = {v: i for i, v in enumerate(order)}
+        # adj[i]: the neighbours of order[i] inside `within`, as positions
+        adj = [row for block in _projected(rows, order) for row in _ints(block)]
+        cur: list[int] = []  # positions
 
-    def expand(cand: int) -> None:
-        nonlocal best, best_size
-        # Clique cover of cand, one class at a time: a class starts at the
-        # lowest position left and repeatedly takes the lowest position
-        # adjacent to all its members so far. A class's index bounds what its
-        # members can add. Classes up to `floor` are built but not listed:
-        # best_size only grows below, so they are never branched on.
-        depth = len(cur)
-        floor = best_size - depth
-        bound = 0
-        rest = cand
-        listed: list[int] = []  # class * n + label
-        while rest:
-            bound += 1
-            q = rest
-            while q:  # walked by hand: q shrinks to adj[i] at each step
-                lsb = q & -q
-                i = lsb.bit_length() - 1
-                rest ^= lsb
-                q &= adj[i]
-                if bound > floor:
-                    listed.append(bound * n + order[i])
-        listed.sort()
-        for key in reversed(listed):
-            bound, v = divmod(key, n)
-            if depth + bound <= best_size:
-                return
-            i = pos[v]
-            cur.append(i)
-            ncand = cand & ~(adj[i] | (1 << i))
-            if ncand:
-                expand(ncand)
-            elif depth + 1 > best_size:
-                best = [order[j] for j in cur]
-                best_size = depth + 1
-            cur.pop()
-            cand &= ~(1 << i)
+        def expand(cand: int) -> bool:
+            """Branch below the chosen positions cur; True once a set of
+            size stop is recorded."""
+            nonlocal best, best_size
+            # Clique cover of cand, one class at a time: a class starts at
+            # the lowest position left and repeatedly takes the lowest
+            # position adjacent to all its members so far. A class's index
+            # bounds what its members can add. Classes up to `floor` are
+            # built but not listed: best_size only grows below, so they are
+            # never branched on.
+            depth = len(cur)
+            floor = best_size - depth
+            bound = 0
+            rest = cand
+            listed: list[int] = []  # class * n + label
+            while rest:
+                bound += 1
+                q = rest
+                while q:  # walked by hand: q shrinks to adj[i] at each step
+                    lsb = q & -q
+                    i = lsb.bit_length() - 1
+                    rest ^= lsb
+                    q &= adj[i]
+                    if bound > floor:
+                        listed.append(bound * n + order[i])
+            listed.sort()
+            for key in reversed(listed):
+                bound, v = divmod(key, n)
+                if depth + bound <= best_size:
+                    return False
+                i = pos[v]
+                cur.append(i)
+                ncand = cand & ~(adj[i] | (1 << i))
+                if ncand:
+                    if expand(ncand):
+                        return True
+                elif depth + 1 > best_size:
+                    best = [order[j] for j in cur]
+                    best_size = depth + 1
+                    if best_size == stop:
+                        return True
+                cur.pop()
+                cand &= ~(1 << i)
+            return False
 
-    expand((1 << size) - 1)
+        expand((1 << size) - 1)
+        return best
+
+    greedy = list(turan_extract(g, top))  # never empty for size >= 1
+    alpha = len(walk(sorted(degree, key=lambda v: (degree[v], v)), greedy, len(greedy)))
+    best = greedy
+    if alpha > len(greedy):
+        best = walk(sorted(degree, key=lambda v: (-degree[v], v)), [], alpha - 1, alpha)
     result = tuple(sorted(best))
+    if len(result) != alpha:
+        raise AssertionError(f"max_independent_set found {len(result)} of alpha = {alpha} members")
     if not is_independent(g, result):
         raise AssertionError(f"max_independent_set returned a dependent set {result}")
     return result
