@@ -391,8 +391,10 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         # chosen is independent in base: its edges in full are added pairs
         planted = _edges_inside(full, chosen_mask)
 
-        # refine to an independent set of the union graph
-        final = turan_extract(full, chosen_mask)
+        # refine to an independent set of the union graph; a chosen set with
+        # no added pair inside is one already, sorted, and turan_extract
+        # would return it unchanged
+        final = turan_extract(full, chosen_mask) if planted else chosen
         for v in final:
             colors[v] = next_color
         next_color += 1
