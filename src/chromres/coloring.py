@@ -1,20 +1,26 @@
 """Chromatic-number computation and the stripping coloring procedure.
 
-chromatic_exact is the oracle (branch-and-bound over k-colorability with a
-clique lower bound and DSATUR upper bound). dsatur and degeneracy_color are
-the deterministic heuristics. dsatur and the k-colorability search
-(find_coloring) keep their vertex-choice key packed into one integer per
-vertex and update it as vertices are colored (and, in the search, uncolored),
-so each pick is one C-level scan of a list for its maximum. strip_color
-builds a proper coloring of base+added by repeatedly pulling a
-nearly-maximal independent set of the base graph that contains few added
-pairs, refining it to an independent set of the union, and spending one
-color on it; the small residue is finished with the degeneracy coloring.
+chromatic_exact is the oracle. It walks k up from a greedy clique bound to
+DSATUR's count and splits the work the usual way: the exact search (DSATUR
+backtracking, find_coloring's) proves that no k-coloring exists, and a
+seeded TabuCol local search finds the k-coloring when the exact search
+does not settle k within a small node budget. A coloring TabuCol finds is
+verified, and an unbudgeted exact search settles any k it fails on, so the
+value is exact; the budget, move cap and seed only move time. dsatur and
+degeneracy_color are the deterministic heuristics. dsatur and the exact
+search keep their vertex-choice key packed into one integer per vertex and
+update it as vertices are colored (and, in the search, uncolored), so each
+pick is one C-level scan of a list for its maximum. strip_color builds a
+proper coloring of base+added by repeatedly pulling a nearly-maximal
+independent set of the base graph that contains few added pairs, refining
+it to an independent set of the union, and spending one color on it; the
+small residue is finished with the degeneracy coloring.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -162,6 +168,16 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     of neighbour colors, so a pick is one scan of a list for its maximum. A
     vertex's neighbour list is built the first time it is colored.
     """
+    return _search(g, k)
+
+
+class _BudgetSpent(Exception):
+    """A budgeted _search visited its node budget without an answer."""
+
+
+def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring]:
+    """find_coloring's search; with a budget, _BudgetSpent once the search
+    enters more than `budget` nodes (calls of its recursion)."""
     n = g.n
     if n == 0:
         return Coloring((), 0)
@@ -173,8 +189,14 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     sat_step = n * n
     colors = [-1] * n
     seen = [0] * n  # bit c set: a colored neighbour holds color c
+    nodes = 0
+    cap = math.inf if budget is None else budget
 
     def solve(remaining: int, max_used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise _BudgetSpent
         if remaining == 0:
             return True
         v = score.index(max(score))
@@ -212,19 +234,117 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     return Coloring(tuple(colors), max(colors) + 1)
 
 
+# Search nodes chromatic_exact's exact try at one k may enter before the
+# local search takes over, and TabuCol moves per vertex before the exact
+# search runs again without a budget. Both set only how the time splits;
+# neither can change a chromatic number.
+_EXACT_TRY_NODES = 2_000
+_TABU_MOVES_PER_VERTEX = 60
+# seed of TabuCol's tie-breaking stream
+_TABU_SEED = 1987
+
+
+def _tabucol(g: Graph, k: int, start: Coloring) -> Optional[Coloring]:
+    """A proper k-coloring of g found by TabuCol from `start`, or None after
+    _TABU_MOVES_PER_VERTEX * n moves.
+
+    Every vertex of `start` colored k or more is first moved, in label
+    order, to its least-conflicting color below k (ties to the lowest).
+    Each move then recolors one vertex that shares its color with a
+    neighbour: the move that lowers the count of monochromatic edges most,
+    skipping tabu moves unless they reach fewer conflicts than ever before
+    (Hertz and de Werra), ties broken by a random.Random(_TABU_SEED) stream.
+    The vertex may not take back its old color for rand(10) + 0.6 *
+    |conflicting vertices| moves (Galinier and Hao's tenure). gamma[v][c]
+    counts v's neighbours colored c and is updated with each move.
+    """
+    n = g.n
+    nbrs = [_members(g.rows[v]) for v in range(n)]
+    col = list(start.colors)
+    for v in range(n):
+        if col[v] >= k:
+            counts = [0] * k
+            for w in nbrs[v]:
+                if col[w] < k:
+                    counts[col[w]] += 1
+            col[v] = counts.index(min(counts))
+    gamma = [[0] * k for _ in range(n)]
+    for v in range(n):
+        gv = gamma[v]
+        for w in nbrs[v]:
+            gv[col[w]] += 1
+    conflicts = sum(gamma[v][col[v]] for v in range(n)) // 2
+    best = conflicts
+    tabu = [[0] * k for _ in range(n)]  # tabu[v][c]: v may take c again from this move
+    rng = random.Random(_TABU_SEED)
+    colors = range(k)
+    for move in range(_TABU_MOVES_PER_VERTEX * n):
+        if not conflicts:
+            break
+        conflicting = [v for v in range(n) if gamma[v][col[v]]]
+        best_delta = n
+        picks: list[tuple[int, int]] = []
+        for v in conflicting:
+            gv = gamma[v]
+            own = gv[col[v]]
+            if min(gv) - own > best_delta:
+                continue  # no move of v reaches the best so far
+            cv, tv = col[v], tabu[v]
+            for c in colors:
+                delta = gv[c] - own
+                if delta > best_delta or c == cv:
+                    continue
+                if tv[c] > move and conflicts + delta >= best:
+                    continue  # tabu, and no aspiration
+                if delta < best_delta:
+                    best_delta = delta
+                    picks = [(v, c)]
+                else:
+                    picks.append((v, c))
+        if not picks:
+            continue  # every move is tabu: wait for a tenure to run out
+        v, c = picks[rng.randrange(len(picks))]
+        old = col[v]
+        col[v] = c
+        for w in nbrs[v]:
+            gw = gamma[w]
+            gw[old] -= 1
+            gw[c] += 1
+        conflicts += best_delta
+        best = min(best, conflicts)
+        tabu[v][old] = move + 1 + rng.randrange(10) + int(0.6 * len(conflicting))
+    if conflicts:
+        return None
+    found = Coloring(tuple(col), k)
+    if not verify_coloring(g, found):
+        raise AssertionError("TabuCol returned an improper coloring")
+    return found
+
+
 def chromatic_exact(g: Graph, limit: int = 40) -> int:
-    """Exact chromatic number; SizeLimitError beyond `limit` vertices."""
+    """Exact chromatic number; SizeLimitError beyond `limit` vertices.
+
+    Walks k up from the greedy clique bound to DSATUR's count. At each k the
+    exact search runs first within _EXACT_TRY_NODES nodes, and its answer,
+    either way, settles k. If it runs out, TabuCol looks for a k-coloring
+    from DSATUR's; one found (and verified) ends the walk at k, since every
+    smaller k is already refuted. If TabuCol fails too, the exact search
+    settles k without a budget. So the value is exact; the budget, move cap
+    and seed only move time between the two searches.
+    """
     if g.n > limit:
         raise SizeLimitError(f"n={g.n} exceeds exact-chromatic limit {limit}")
     if g.n == 0:
         return 0
-    ub_coloring = dsatur(g)
-    ub = ub_coloring.num_colors
-    lb = max(1, greedy_clique(g))
-    for k in range(lb, ub):
-        if find_coloring(g, k) is not None:
+    start = dsatur(g)
+    for k in range(max(1, greedy_clique(g)), start.num_colors):
+        try:
+            found = _search(g, k, _EXACT_TRY_NODES)
+        except _BudgetSpent:
+            found = _tabucol(g, k, start) or _search(g, k)
+        if found is not None:
             return k
-    return ub
+    return start.num_colors
 
 
 # largest remainder whose blown enumeration falls back to one exact maximum set

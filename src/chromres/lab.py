@@ -263,6 +263,8 @@ class ExperimentConfig:
         for n in self.n_list:
             if n < 1:
                 raise ValueError("n must be >= 1")
+        if self.exact_limit < 0:
+            raise ValueError("exact_limit must be >= 0")
 
     def params_dict(self) -> dict[str, float]:
         return dict(self.strategy_params)

@@ -14,12 +14,14 @@ from chromres import (
     GnpParams,
     Graph,
     SizeLimitError,
+    chromatic_exact,
     dsatur,
     find_coloring,
     generate_gnp,
     max_independent_set,
     turan_extract,
 )
+from chromres import coloring
 from conftest import (
     brute_chromatic,
     dsatur_reference,
@@ -146,6 +148,28 @@ def test_find_coloring_matches_reference_on_small_graphs(seed):
     chi = brute_chromatic(g)
     for k in [0, *range(max(1, chi - 2), chi + 2)]:
         assert find_coloring(g, k) == find_coloring_reference(g, k)
+
+
+def test_chromatic_exact_takes_a_tabucol_coloring_on_g60(monkeypatch):
+    """G(60, 1/2) seed 0 (clique bound 8, DSATUR 12, chi 10): the exact try
+    refutes k = 9 within its budget, runs out at k = 10, and TabuCol finds
+    the 10-coloring. The test fails if this graph stops taking that path,
+    and checks the value against the exact search alone."""
+    g = _gnp(60, 0.5, 0)
+    tabucol = coloring._tabucol
+    runs = []
+
+    def spy(g, k, start):
+        found = tabucol(g, k, start)
+        runs.append((k, found is not None))
+        return found
+
+    monkeypatch.setattr(coloring, "_tabucol", spy)
+    assert chromatic_exact(g, limit=60) == 10
+    assert runs == [(10, True)]
+    monkeypatch.setattr(coloring, "_EXACT_TRY_NODES", None)  # exact search alone
+    assert chromatic_exact(g, limit=60) == 10
+    assert runs == [(10, True)]
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])

@@ -291,6 +291,14 @@ class TestExperiment:
         with pytest.raises(ValueError, match="n must be >= 1"):
             ExperimentConfig(n_list=(5, n), p_list=(0.5,), seeds=(1,))
 
+    @pytest.mark.parametrize("exact_limit", [-1, -5])
+    def test_config_rejects_negative_exact_limit(self, exact_limit):
+        # a negative limit would leave every row's exact_chi blank
+        with pytest.raises(ValueError, match="exact_limit must be >= 0"):
+            ExperimentConfig(n_list=(5,), p_list=(0.5,), seeds=(1,), exact_limit=exact_limit)
+        with pytest.raises(ValueError, match="exact_limit must be >= 0"):
+            parse_config(f"n=20\np=0.5\nseeds=1\nexact_limit={exact_limit}\n")
+
 
 class TestCli:
     def test_generate_and_color(self, tmp_path, capsys):

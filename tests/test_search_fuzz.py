@@ -1,7 +1,8 @@
 """Derandomized fuzz of the exact searches against the brute-force oracles in
 conftest (every subset for alpha, plain recursive assignment for coloring),
 and against networkx's maximum clique of the complement where networkx is
-installed."""
+installed. chromatic_exact is also fuzzed with its exact try starved, so
+that every k it settles goes through TabuCol and the unbudgeted fallback."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from chromres import (
     max_independent_set,
     verify_coloring,
 )
+from chromres import coloring
 from conftest import brute_alpha, brute_chromatic, brute_colorable
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
@@ -68,3 +70,75 @@ def test_alpha_matches_networkx_clique_of_complement(seed):
     base.add_edges_from(g.edges())
     _, size = nx.max_weight_clique(nx.complement(base), weight=None)
     assert len(max_independent_set(g)) == size
+
+
+def _spied(tries: list) -> tuple:
+    """Stand-ins for coloring._search and coloring._tabucol that log each
+    call as (search, k, budget) or (tabucol, k, found?) in `tries`."""
+    search, tabucol = coloring._search, coloring._tabucol
+
+    def spy_search(g, k, budget=None):
+        tries.append(("search", k, budget))
+        return search(g, k, budget)
+
+    def spy_tabucol(g, k, start):
+        found = tabucol(g, k, start)
+        tries.append(("tabucol", k, found is not None))
+        return found
+
+    return spy_search, spy_tabucol
+
+
+@pytest.mark.parametrize("moves", [coloring._TABU_MOVES_PER_VERTEX, 0])
+@FUZZ
+@given(st.integers(0, 2**32 - 1))
+def test_chromatic_exact_without_exact_tries_matches_brute_force(moves, seed):
+    """A node budget of 0 sends every k chromatic_exact tries to TabuCol; a
+    move cap of 0 as well sends each k TabuCol cannot color to the
+    unbudgeted search. The value is brute force's either way."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    g = generate_gnp(GnpParams(n, rng.choice([0.3, 0.5, 0.7]), rng.randrange(10**6)))
+    tries: list = []
+    spy_search, spy_tabucol = _spied(tries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_EXACT_TRY_NODES", 0)
+        mp.setattr(coloring, "_TABU_MOVES_PER_VERTEX", moves)
+        mp.setattr(coloring, "_search", spy_search)
+        mp.setattr(coloring, "_tabucol", spy_tabucol)
+        assert chromatic_exact(g) == brute_chromatic(g)
+    for i, (kind, k, arg) in enumerate(tries):
+        if kind == "search" and arg == 0:
+            assert tries[i + 1][:2] == ("tabucol", k)
+        elif kind == "tabucol" and not arg:
+            assert tries[i + 1] == ("search", k, None)
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1))
+def test_tabucol_returns_proper_colorings_or_none(seed):
+    """TabuCol from DSATUR's coloring finds nothing below chi (its conflict
+    table must never reach zero falsely, which its verify would catch), and
+    at chi returns a proper chi-coloring or None."""
+    g = _graph(seed)
+    chi = brute_chromatic(g)
+    start = dsatur(g)
+    for k in range(1, chi):
+        assert coloring._tabucol(g, k, start) is None
+    if g.n:
+        found = coloring._tabucol(g, chi, start)
+        assert found is None or (verify_coloring(g, found) and found.num_colors == chi)
+
+
+@pytest.mark.parametrize("g", [Graph.cycle(5), Graph.cycle(7)])
+def test_failed_tabucol_falls_back_to_the_exact_search(g, monkeypatch):
+    """An odd cycle: clique bound 2, chi 3. With no exact budget the 2-coloring
+    goes to TabuCol, which cannot find one, and the unbudgeted search refutes
+    k = 2."""
+    tries: list = []
+    spy_search, spy_tabucol = _spied(tries)
+    monkeypatch.setattr(coloring, "_EXACT_TRY_NODES", 0)
+    monkeypatch.setattr(coloring, "_search", spy_search)
+    monkeypatch.setattr(coloring, "_tabucol", spy_tabucol)
+    assert chromatic_exact(g) == 3
+    assert tries == [("search", 2, 0), ("tabucol", 2, False), ("search", 2, None)]

@@ -177,3 +177,76 @@ def test_isets_does_not_import_combinations():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "combinations" not in imported and "itertools" not in imported
+
+
+def _unseeded_randomness(source: str) -> list[int]:
+    """Line numbers where the module draws randomness other than through a
+    random.Random built inside a function from a constant (a literal, or a
+    module name bound once to a literal): any other random.* use, an import
+    from random or an alias of it, and any np.random / numpy.random."""
+    tree = ast.parse(source)
+    bindings: dict = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    bindings.setdefault(target.id, []).append(node.value)
+    constants = {name for name, values in bindings.items()
+                 if len(values) == 1 and isinstance(values[0], ast.Constant)}
+    seeded = set()  # the random.Random attribute nodes of allowed calls
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "Random" and isinstance(call.func.value, ast.Name)
+                        and call.func.value.id == "random" and len(call.args) == 1
+                        and not call.keywords
+                        and (isinstance(call.args[0], ast.Constant)
+                             or (isinstance(call.args[0], ast.Name)
+                                 and call.args[0].id in constants))):
+                    seeded.add(id(call.func))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "random" and id(node) not in seeded:
+                bad.append(node.lineno)
+            elif node.value.id in ("np", "numpy") and node.attr == "random":
+                bad.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("random", "numpy", "numpy.random"):
+            if node.module != "numpy" or any(a.name == "random" for a in node.names):
+                bad.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name == "numpy.random" or (a.name == "random" and a.asname)
+                   for a in node.names):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+def test_coloring_draws_randomness_only_from_a_constant_seed():
+    """coloring.py's only randomness is TabuCol's tie-breaking stream, a
+    random.Random built in the function from a constant, so every result
+    stays a function of the arguments (README, determinism conventions)."""
+    path = os.path.join(SRC, "chromres", "coloring.py")
+    with open(path, encoding="utf-8") as f:
+        assert _unseeded_randomness(f.read()) == []
+
+
+def test_unseeded_randomness_check_flags_each_form():
+    source = "\n".join([
+        "import random",                          # 1 fine
+        "import numpy as np",                     # 2 fine
+        "SEED = 7",                               # 3
+        "BAD = []",                               # 4
+        "def ok():",                              # 5
+        "    return random.Random(SEED), random.Random(3)",  # 6 fine
+        "def bad(x):",                            # 7
+        "    random.shuffle(x)",                  # 8
+        "    return random.Random(x), random.Random(BAD)",   # 9, 9
+        "rng = random.Random(1)",                 # 10 module level
+        "gen = np.random.default_rng(0)",         # 11
+        "from random import choice",              # 12
+        "import random as r",                     # 13
+        "from numpy import random",               # 14
+    ])
+    assert _unseeded_randomness(source) == [8, 9, 9, 10, 11, 12, 13, 14]
