@@ -20,6 +20,7 @@ small residue is finished with the degeneracy coloring.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -27,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
-from .graph import EdgeSet, Graph, _bits, _edges_inside, _members, induced_subgraph, mask_of, union
+from .graph import (EdgeSet, Graph, _bits, _edges_inside, _members, _words, induced_subgraph,
+                    mask_of, union)
 from .isets import (
     EnumerationLimitError,
     SizeLimitError,
@@ -36,6 +38,7 @@ from .isets import (
     _pair_keys,
     _restricted,
     _sparsest,
+    _turan,
     max_independent_set,
     min_degree_vertex,
     turan_extract,
@@ -359,7 +362,9 @@ class StripKnobs:
     eps*n/(16 log(np)), "local" at n/(log n)^2; any other value raises
     ValueError here. family_size_limit gates the enumeration route (rounds
     on larger remainders go straight to the greedy route). node_budget caps
-    the enumeration search tree per round.
+    the enumeration search tree per round. Both must be integers >= 0, or
+    ValueError is raised here; a family_size_limit of 0 sends every round
+    to the greedy route, and a node_budget of 0 blows every enumeration.
     """
 
     variant: str = "global"
@@ -369,6 +374,10 @@ class StripKnobs:
     def __post_init__(self) -> None:
         if self.variant not in ("global", "local"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name in ("family_size_limit", "node_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -427,6 +436,13 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     step at the size of the last enumerated family filters it to S
     (isets._restricted), which gives the fresh enumeration's sets, order and
     limit trips; a step at another size, or after a blown budget, enumerates.
+
+    A round's sizing extract, the greedy set of base[S] whose size can raise
+    k_target, picks on a word matrix of base's rows built once per call
+    (see isets.min_degree_vertex), which gives the scan's picks. A round that
+    may enumerate skips it while alpha_bound <= max(profile.k, k0(s)): the
+    set is independent, so its size is at most alpha(S) <= alpha_bound and
+    it cannot raise k_target; the round runs it only if it ends greedy.
     """
     if not epsilon > 0:  # also rejects NaN
         raise ValueError("epsilon must be positive")
@@ -445,6 +461,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     rounds: list[tuple[int, int, str, int, int]] = []
     added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
     added_keys = added_uv[:, 0] * n + added_uv[:, 1]  # ascending
+    words = _words(_bits(base.rows, ((n + 63) >> 6) << 3))  # the sizing extract's picks
 
     colors: list[int] = [-1] * n
     next_color = 0
@@ -462,13 +479,19 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     cached: Optional[np.ndarray] = None
 
     while remaining and (s := remaining.bit_count()) > threshold:
-        greedy_set = turan_extract(base, remaining)
-        k_target = max(profile.k, compute_k0(s, p, theta) or 1, len(greedy_set))
+        family_round = s <= knobs.family_size_limit
+        k_target = max(profile.k, compute_k0(s, p, theta) or 1)
+        # The greedy set is independent, so its size is at most alpha(S) <=
+        # alpha_bound: once that bound is down to k_target, the set cannot
+        # raise it, and a family round takes it only if it ends greedy.
+        chosen: Optional[tuple[int, ...]] = None
+        if not family_round or alpha_bound > k_target:
+            chosen = _turan(base, remaining, words)
+            k_target = max(k_target, len(chosen))
         k_target = min(k_target, s)
 
         route = "greedy"
-        chosen: tuple[int, ...] = greedy_set
-        if s <= knobs.family_size_limit:
+        if family_round:
             fam = None
             alive = _bits([remaining], (n + 7) >> 3)[0]
             k_try = min(k_target, alpha_bound)
@@ -505,9 +528,11 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                 inside = added_keys[alive[added_uv[:, 0]] & alive[added_uv[:, 1]]]
                 row, _ = _sparsest(keys, inside, cap if route == "family" else None)
                 chosen = tuple(fam[row].tolist())
-        chosen_mask = mask_of(chosen)
         if route == "greedy":
             flags.append(f"greedy-fallback@s={s}")
+            if chosen is None:
+                chosen = _turan(base, remaining, words)
+        chosen_mask = mask_of(chosen)
         # chosen is independent in base: its edges in full are added pairs
         planted = _edges_inside(full, chosen_mask)
 

@@ -10,7 +10,9 @@ Bulk work runs on numpy bool matrices, and three private helpers are the only
 code that knows how a row is laid out in bytes (little-endian, bit j of a row
 is bit j % 8 of its byte j // 8): _bits turns rows into a bool matrix, _ints
 turns one back into rows, and _projected yields bounded blocks of the
-adjacency among a list of vertices, relabelled onto their positions. Two more
+adjacency among a list of vertices, relabelled onto their positions. _words
+packs a bool matrix from _bits into uint64 words, one column per row, which
+AND like the rows under them. Two more
 are the only code that lists a mask's members (the writers aside, which unpack
 each row's upper neighbours as one index array) or counts the edges inside a
 mask: _members gives a mask's vertices in ascending order, and _edges_inside
@@ -214,6 +216,13 @@ def _bits(rows: Sequence[int], width: int) -> np.ndarray:
     blob = b"".join([row.to_bytes(width, "little") for row in rows])
     packed = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), width)
     return np.unpackbits(packed, axis=1, bitorder="little").view(bool)
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """A 2-d bool matrix whose width is a multiple of 64 as uint64 words:
+    column i of the result holds row i of bits, lowest word first."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T)
 
 
 def _ints(bits: np.ndarray) -> list[int]:

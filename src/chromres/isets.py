@@ -23,6 +23,15 @@ matrix, from which it builds its forward sets and checks every set it
 returns. graph's _bits and _ints are the only conversions between adjacency
 rows and bit arrays.
 
+The greedy Turan extract repeatedly takes the lowest-label vertex of minimum
+degree inside the mask. min_degree_vertex has two strategies for that pick:
+it scans the members one at a time, or, given the rows as a uint64 word
+matrix (graph._words) and a mask of more than _WIDE_PICK members, it counts
+every degree with one popcount over the matrix and takes the first minimum
+among the members. Both give the same vertex. strip_color's sizing extract
+uses the matrix; turan_extract, the union refinement, degeneracy_order and
+the maximum independent set's start scan.
+
 A family is one (m, k) array of labels, a set per row, from enumeration
 through stripping; coverage, the cap and the sparse pick run on its pairs as
 int64 keys u * n + v. The public functions wrap these helpers and alone
@@ -37,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EdgeSet, Graph, _ints, _members, _projected, mask_of
+from .graph import EdgeSet, Graph, _bits, _ints, _members, _projected, _words, mask_of
 
 
 # Bytes one enumeration step unpacks its parents' candidate bitsets into (one
@@ -48,6 +57,11 @@ from .graph import EdgeSet, Graph, _ints, _members, _projected, mask_of
 # threads mostly waited on each other. At 2^18 a step's temporaries are a few
 # hundred kB, freed before the next step.
 _STEP_BYTES = 1 << 18
+
+# Members above which min_degree_vertex, when given the word matrix, counts
+# every degree at once instead of scanning the members (measured, see
+# BENCH_pr19.json: the matrix pick costs about as much as a scan of this many).
+_WIDE_PICK = 160
 
 # Sets an enumeration may return before it raises EnumerationLimitError,
 # unless the caller passes another limit.
@@ -191,33 +205,57 @@ def max_independent_set(g: Graph, limit: int = 120,
     return result
 
 
-def min_degree_vertex(rows: tuple[int, ...], alive: int) -> tuple[int, int]:
-    """Lowest-index vertex of minimum degree inside the non-empty mask
-    `alive`, with that degree (neighbours outside `alive` do not count)."""
-    best_v, best_d = -1, alive.bit_count()
-    for v in _members(alive):
-        d = (rows[v] & alive).bit_count()
-        if d < best_d:
-            best_v, best_d = v, d
-    return best_v, best_d
+def min_degree_vertex(rows: tuple[int, ...], alive: int,
+                      words: Optional[np.ndarray] = None) -> tuple[int, int]:
+    """Lowest-index vertex of minimum degree inside the mask `alive`, with
+    that degree (neighbours outside `alive` do not count); (-1, 0) for the
+    empty mask.
+
+    Two strategies give the same pick. The scan takes the members one at a
+    time and keeps the first strictly smaller degree. Given `words`, the rows
+    as the (words, n) uint64 matrix of graph._words, a mask of more than
+    _WIDE_PICK members instead counts every degree inside it with one
+    popcount over the matrix and takes the first minimum among its members,
+    which is again the lowest label of that degree.
+    """
+    if words is None or alive.bit_count() <= _WIDE_PICK:
+        best_v, best_d = -1, alive.bit_count()
+        for v in _members(alive):
+            d = (rows[v] & alive).bit_count()
+            if d < best_d:
+                best_v, best_d = v, d
+        return best_v, best_d
+    count, n = words.shape
+    bits = _bits([alive], 8 * count)
+    degree = np.bitwise_count(words & _words(bits)).sum(axis=0, dtype=np.int32)
+    degree[~bits[0, :n]] = n  # above every member's degree
+    v = int(degree.argmin())
+    return v, int(degree[v])
 
 
-def turan_extract(g: Graph, within: Optional[int] = None) -> tuple[int, ...]:
-    """Greedy independent set of the vertex mask `within` (default: all of
-    g): repeatedly take a minimum-degree vertex and delete its closed
-    neighborhood. Guarantees size >= s^2/(2e+s) for the s vertices and e
-    edges inside `within`."""
+def _turan(g: Graph, alive: int, words: Optional[np.ndarray] = None) -> tuple[int, ...]:
+    """turan_extract's set of the vertex mask alive, its picks made by
+    min_degree_vertex with `words`."""
     rows = g.rows
-    alive = _vertex_mask(g, within)
     out = []
     while alive:
-        v, _ = min_degree_vertex(rows, alive)
+        v, _ = min_degree_vertex(rows, alive, words)
         out.append(v)
         alive &= ~(rows[v] | (1 << v))
     result = tuple(sorted(out))
     if not is_independent(g, result):
         raise AssertionError(f"turan_extract returned a dependent set {result}")
     return result
+
+
+def turan_extract(g: Graph, within: Optional[int] = None) -> tuple[int, ...]:
+    """Greedy independent set of the vertex mask `within` (default: all of
+    g): repeatedly take a minimum-degree vertex (the lowest label among
+    ties) and delete its closed neighborhood. Guarantees size >= s^2/(2e+s)
+    for the s vertices and e edges inside `within`. The picks scan the
+    members; strip_color runs the same loop with the word matrix for its
+    sizing extract, and its picks are the same."""
+    return _turan(g, _vertex_mask(g, within))
 
 
 @dataclass(frozen=True)

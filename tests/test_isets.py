@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,10 @@ from chromres import (
     turan_extract,
     uniform_family,
 )
-from conftest import brute_alpha, is_independent_reference, petersen, run_python
+from chromres import isets
+from chromres.graph import _bits, _words
+from chromres.isets import _turan, min_degree_vertex
+from conftest import _greedy_strip_reference, brute_alpha, is_independent_reference, petersen, run_python
 
 
 def gnp(n, p, seed):
@@ -98,6 +102,49 @@ class TestTuranExtract:
             assert len(got) >= bound
             assert is_independent(g, got)
             assert len(got) <= len(max_independent_set(g))
+
+
+class TestMatrixPicks:
+    """min_degree_vertex's word-matrix strategy against its scan."""
+
+    @staticmethod
+    def _graph(rng: random.Random) -> Graph:
+        n = rng.randint(1, 200)  # 1 to 4 words a row
+        kind = rng.choice(["gnp", "gnp", "gnp", "empty", "complete", "cycle"])
+        if kind == "empty":
+            return Graph.empty(n)
+        if kind == "complete":
+            return Graph.complete(n)
+        if kind == "cycle":
+            return Graph.cycle(max(n, 3))
+        return gnp(n, rng.choice([0.05, 0.5, 0.95]), rng.randrange(1000))
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matrix_picks_and_extracts_match_the_scan(self, seed):
+        rng = random.Random(seed)
+        g = self._graph(rng)
+        words = _words(_bits(g.rows, ((g.n + 63) >> 6) << 3))
+        masks = [(1 << g.n) - 1, 0] + [rng.getrandbits(g.n) for _ in range(4)]
+        with mock.patch.object(isets, "_WIDE_PICK", 0):  # every non-empty mask is wide
+            for alive in masks:
+                scan = min_degree_vertex(g.rows, alive)
+                assert min_degree_vertex(g.rows, alive, words) == scan
+                if alive:
+                    assert scan == min(((g.rows[v] & alive).bit_count(), v)
+                                       for v in range(g.n) if alive >> v & 1)[::-1]
+                else:
+                    assert scan == (-1, 0)
+                extract = _turan(g, alive, words)
+                assert extract == turan_extract(g, alive) == _greedy_strip_reference(g, alive)
+
+    def test_matrix_pick_takes_the_lowest_label_among_ties(self):
+        g = Graph.cycle(150)  # every degree is 2
+        words = _words(_bits(g.rows, 24))
+        with mock.patch.object(isets, "_WIDE_PICK", 0):
+            assert min_degree_vertex(g.rows, (1 << 150) - 1, words) == (0, 2)
+            # without 0 and 1, vertices 2 and 149 tie at degree 1
+            assert min_degree_vertex(g.rows, ((1 << 150) - 1) ^ 0b11, words) == (2, 1)
 
 
 class TestEnumerate:

@@ -16,6 +16,7 @@ from chromres import (
     GnpParams,
     Graph,
     RegimeWarning,
+    StripKnobs,
     concentration_sample,
     density_audit,
     generate_gnp,
@@ -298,6 +299,23 @@ class TestExperiment:
             ExperimentConfig(n_list=(5,), p_list=(0.5,), seeds=(1,), exact_limit=exact_limit)
         with pytest.raises(ValueError, match="exact_limit must be >= 0"):
             parse_config(f"n=20\np=0.5\nseeds=1\nexact_limit={exact_limit}\n")
+
+    @pytest.mark.parametrize("name", ["family_size_limit", "node_budget"])
+    @pytest.mark.parametrize("value", [-1, -5, float("nan"), 2.5, True, "130"])
+    def test_knobs_reject_a_value_that_is_not_a_count(self, name, value):
+        # a negative limit or budget sent every round to the greedy route
+        # without an error
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            StripKnobs(**{name: value})
+        if isinstance(value, int) and not isinstance(value, bool):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+                parse_config(f"n=60\np=0.5\nseeds=1\nknobs.{name}={value}\n")
+
+    @pytest.mark.parametrize("name", ["family_size_limit", "node_budget"])
+    def test_knobs_accept_zero(self, name):
+        assert getattr(StripKnobs(**{name: 0}), name) == 0
+        config = parse_config(f"n=60\np=0.5\nseeds=1\nknobs.{name}=0\n")
+        assert getattr(config.knobs, name) == 0
 
 
 class TestCli:

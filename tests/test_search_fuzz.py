@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chromres import (
     GnpParams,
@@ -23,7 +23,8 @@ from chromres import (
     verify_coloring,
 )
 from chromres import coloring
-from conftest import brute_alpha, brute_chromatic, brute_colorable
+from chromres.coloring import greedy_clique
+from conftest import brute_alpha, brute_chromatic, brute_colorable, find_coloring_reference
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -58,6 +59,22 @@ def test_colorings_match_brute_force(seed):
         assert (c is not None) == brute_colorable(g, k)
         if c is not None:
             assert verify_coloring(g, c) and c.num_colors <= k
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_chromatic_exact_walks_k_where_the_bounds_differ(seed):
+    """_graph's small graphs mostly have a clique bound equal to DSATUR's
+    count, where chromatic_exact searches no k. On G(n, 1/2), n 15-30, with
+    a gap between the two, it must stop at the first k, counting up from
+    the clique bound, that the reference search colors."""
+    rng = random.Random(seed)
+    g = generate_gnp(GnpParams(rng.randint(15, 30), 0.5, rng.randrange(10**6)))
+    k = greedy_clique(g)
+    assume(k < dsatur(g).num_colors)
+    while find_coloring_reference(g, k) is None:
+        k += 1
+    assert chromatic_exact(g) == k
 
 
 @FUZZ

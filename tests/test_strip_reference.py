@@ -12,8 +12,12 @@ cap accounting and sparse member.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
 import random
 import warnings
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +36,7 @@ from chromres import (
     strip_color,
     uniform_family,
 )
+from chromres import coloring, isets
 from conftest import (
     coverage_reference,
     sparse_iset_reference,
@@ -53,6 +58,18 @@ def _added(g, strategy: str, rng: random.Random) -> EdgeSet:
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_strip_color_matches_reference(seed):
+    _check_against_reference(seed)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_strip_color_with_every_pick_on_the_matrix_matches_reference(seed):
+    # these graphs (n <= 160) rarely reach a pick wider than the default
+    with mock.patch.object(isets, "_WIDE_PICK", 0):
+        _check_against_reference(seed)
+
+
+def _check_against_reference(seed: int) -> None:
     rng = random.Random(seed)
     n = rng.randint(30, 160)
     p = rng.choice([0.3, 0.5, 0.7])
@@ -72,6 +89,33 @@ def test_strip_color_matches_reference(seed):
     ref_coloring, ref_trace = strip_color_reference(g, added, 1.0, profile, knobs)
     assert coloring == ref_coloring
     assert trace.to_json() == ref_trace.to_json()
+
+
+# SHA-256 of json.dumps([colors, trace.to_json()]) for G(300, 1/2) seed 5 with
+# the lab's default planted clique, recorded before the word-matrix picks and
+# the skipped sizing extracts landed.
+PINNED_G300 = "7dfd1455ba6ccb96078346b8d6ae95312116a99a48ceb775fe42fc03927e45c2"
+
+
+def test_strip_color_takes_matrix_picks_and_skips_sizing_extracts(monkeypatch):
+    """Both shortcuts of a stripping round run on G(300, 1/2), and the
+    output stays the one recorded without them: the greedy rounds' sizing
+    extracts pick on the word matrix (each such pick packs its mask with
+    graph._words), and a family round whose alpha bound is down to k_target
+    runs no sizing extract."""
+    n, p = 300, 0.5
+    g = generate_gnp(GnpParams(n, p, 5))
+    added = plant_clique(g, range(math.ceil(n / (math.log(n * p) / math.log(1 / (1 - p))))))
+    packed, sizing = [], []
+    words, turan = isets._words, coloring._turan
+    monkeypatch.setattr(isets, "_words", lambda bits: packed.append(bits) or words(bits))
+    monkeypatch.setattr(coloring, "_turan",
+                        lambda *args: sizing.append(args[1]) or turan(*args))
+    col, trace = strip_color(g, added, 1.0, build_profile(n, p, 1.0))
+    assert packed, "no sizing extract picked on the word matrix"
+    assert len(sizing) < len(trace.rounds), "every round ran its sizing extract"
+    out = json.dumps([list(col.colors), trace.to_json()]).encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_G300
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
