@@ -20,7 +20,6 @@ small residue is finished with the degeneracy coloring.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass, asdict
 from typing import Optional
@@ -374,9 +373,9 @@ class StripKnobs:
     def __post_init__(self) -> None:
         if self.variant not in ("global", "local"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("family_size_limit", "node_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        for name, value in (("family_size_limit", self.family_size_limit),
+                            ("node_budget", self.node_budget)):
+            if type(value) is not int or value < 0:  # bool is no count either
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 

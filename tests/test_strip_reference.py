@@ -7,7 +7,10 @@ earlier round. strip_color must give the same coloring and the same trace
 (rounds, flags, buckets) on every route: family, enum, exact-alpha and
 greedy. The family layer's public functions must give the references'
 sets, coverage (in the same key order, which `chromres isets` prints),
-cap accounting and sparse member.
+cap accounting and sparse member. The differential runs once more with every
+minimum-degree pick on the word matrix, and one G(300) call pins both
+shortcuts of a round (matrix picks, skipped sizing extracts) to the output
+recorded without them.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ def _check_against_reference(seed: int) -> None:
 
 
 # SHA-256 of json.dumps([colors, trace.to_json()]) for G(300, 1/2) seed 5 with
-# the lab's default planted clique, recorded before the word-matrix picks and
-# the skipped sizing extracts landed.
+# the lab's default planted clique, recorded when every pick scanned and every
+# round ran its sizing extract.
 PINNED_G300 = "7dfd1455ba6ccb96078346b8d6ae95312116a99a48ceb775fe42fc03927e45c2"
 
 
