@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import isets
 from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
 from .graph import (EdgeSet, Graph, _bits, _edges_inside, _members, _words, induced_subgraph,
                     mask_of, union)
@@ -437,8 +438,9 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     limit trips; a step at another size, or after a blown budget, enumerates.
 
     A round's sizing extract, the greedy set of base[S] whose size can raise
-    k_target, picks on a word matrix of base's rows built once per call
-    (see isets.min_degree_vertex), which gives the scan's picks. A round that
+    k_target, picks on a word matrix of base's rows built once per call when
+    n > isets._WIDE_PICK, as no narrower mask picks on it (see
+    isets.min_degree_vertex), which gives the scan's picks. A round that
     may enumerate skips it while alpha_bound <= max(profile.k, k0(s)): the
     set is independent, so its size is at most alpha(S) <= alpha_bound and
     it cannot raise k_target; the round runs it only if it ends greedy.
@@ -460,7 +462,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     rounds: list[tuple[int, int, str, int, int]] = []
     added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
     added_keys = added_uv[:, 0] * n + added_uv[:, 1]  # ascending
-    words = _words(_bits(base.rows, ((n + 63) >> 6) << 3))  # the sizing extract's picks
+    # the sizing extract's picks; no mask of at most _WIDE_PICK members uses it
+    words = _words(_bits(base.rows, ((n + 63) >> 6) << 3)) if n > isets._WIDE_PICK else None
 
     colors: list[int] = [-1] * n
     next_color = 0

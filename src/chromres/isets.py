@@ -10,18 +10,21 @@ numpy bitsets: the same tree, the same node count and the same
 lexicographic order of sets as the one-node-at-a-time recursion. A node
 keeps only its last vertex and a pointer to its parent, so a set is built
 only at a leaf, and the nodes a block makes are counted from its
-candidates' popcounts. The blocks are large so that the fixed Python cost
-of a step, paid with the GIL held, is small against its numpy work. The
-maximum independent set search runs on bitsets over the mask's vertices
-relabelled in its cover order and builds its clique-cover bound one class
-at a time, the classes of first-fit in that order. It proves alpha in one
-walk on the ascending-degree order, then, unless the greedy Turan set is
-maximum, takes the first maximum set of the documented descending-degree
-order in a second walk that stops at it. Both searches read the relabelled
-adjacency from graph._projected; the enumeration stacks it into one s x s
-matrix, from which it builds its forward sets and checks every set it
-returns. graph's _bits and _ints are the only conversions between adjacency
-rows and bit arrays.
+candidates' popcounts. A step pays a fixed cost, about two dozen numpy
+calls that each hand the GIL to any other thread and wait for it back, and
+a cost per child it makes, in numpy work and in up to 16w + 16 bytes held
+at once for w words of bitset; _STEP_BYTES sets the trade between the two.
+The candidates are found by unpacking only the nonzero bytes of the
+bitsets. The maximum independent set search runs on bitsets over the
+mask's vertices relabelled in its cover order and builds its clique-cover
+bound one class at a time, the classes of first-fit in that order. It
+proves alpha in one walk on the ascending-degree order, then, unless the
+greedy Turan set is maximum, takes the first maximum set of the documented
+descending-degree order in a second walk that stops at it. Both searches
+read the relabelled adjacency from graph._projected; the enumeration stacks
+it into one s x s matrix, from which it builds its forward sets and checks
+every set it returns. graph's _bits and _ints are the only conversions
+between adjacency rows and bit arrays.
 
 The greedy Turan extract repeatedly takes the lowest-label vertex of minimum
 degree inside the mask. min_degree_vertex has two strategies for that pick:
@@ -49,14 +52,20 @@ import numpy as np
 from .graph import EdgeSet, Graph, _bits, _ints, _members, _projected, _words, mask_of
 
 
-# Bytes one enumeration step unpacks its parents' candidate bitsets into (one
-# byte per bit, at least one parent); a step makes at most this many children.
-# The forward sets are built in the blocks of graph._projected. A step pays a
-# fixed Python cost, with the GIL held, for its few dozen numpy calls, which
-# release it; at 2^16 that cost was a large share of a step, and two sweep
-# threads mostly waited on each other. At 2^18 a step's temporaries are a few
-# hundred kB, freed before the next step.
-_STEP_BYTES = 1 << 18
+# Bits of candidate bitset that one enumeration step expands, the bytes that
+# unpacking all of them would take (at least one parent); a step makes at most
+# this many children, and unpacks only the nonzero bytes among them. The fixed
+# cost of a step is about two dozen numpy calls, each of which hands the GIL
+# over: about 45 us alone and 160 us of wall with two sweep threads, so fewer,
+# larger steps pay off there. What caps the size is memory. A step holds up to
+# 16w + 16 bytes per child it makes (the children's w-word bitsets, the forward
+# sets ANDed into them, their int32 parent and position and numpy's int64 copy
+# of one), 8 bytes per candidate while it finds them and 16 per nonzero byte
+# it unpacks, all freed before the next step. From the table of 2^18 to 2^21 in
+# BENCH_pr20.json: 2^19 ran sweep-family 15% faster than 2^18 for 1.2% more
+# peak RSS; 2^20 gained 7% more but its peak RSS was 4.3% above 2^18's. The
+# forward sets are built in the blocks of graph._projected.
+_STEP_BYTES = 1 << 19
 
 # Members above which min_degree_vertex, when given the word matrix, counts
 # every degree at once instead of scanning the members (measured, see
@@ -302,7 +311,10 @@ def _pair_keys(sets: np.ndarray, n: int) -> np.ndarray:
     (m, k(k-1)/2) int64 array; every label must lie below n."""
     cols = np.arange(sets.shape[1])
     i, j = np.nonzero(cols[:, None] < cols)  # as np.triu_indices(k, 1), at less cost
-    return sets[:, i].astype(np.int64) * n + sets[:, j]
+    keys = sets[:, i].astype(np.int64, copy=False)
+    keys *= n
+    keys += sets[:, j]
+    return keys
 
 
 def _coverage(keys: np.ndarray, n: int) -> dict[tuple[int, int], int]:
@@ -341,12 +353,15 @@ def _sparsest(keys: np.ndarray, e_keys: np.ndarray, cap: Optional[float]) -> tup
     return row, count
 
 
-def _kept(parents: np.ndarray, pc: Optional[np.ndarray], need: int,
-          width: int) -> tuple[np.ndarray, np.ndarray]:
+def _kept(parents: np.ndarray, pc: Optional[np.ndarray],
+          need: int) -> tuple[np.ndarray, np.ndarray]:
     """(parent index, candidate position) of every child of the candidate
-    bitsets `parents`, in that order: each parent's candidates but its last
-    need - 1, as int32 arrays."""
-    found = np.flatnonzero(np.unpackbits(parents.view(np.uint8), bitorder="little").view(bool))
+    bitsets `parents` with popcounts pc, in that order: each parent's
+    candidates but its last need - 1, as int32 arrays. Only the nonzero bytes
+    of the bitsets are unpacked."""
+    packed = parents.view(np.uint8).ravel()
+    nz = np.flatnonzero(packed != 0)
+    found = np.flatnonzero(np.unpackbits(packed[nz], bitorder="little").view(bool))
     if need > 1:
         keep = np.ones(len(found), dtype=bool)
         ends = np.cumsum(pc)
@@ -354,7 +369,12 @@ def _kept(parents: np.ndarray, pc: Optional[np.ndarray], need: int,
             ends -= 1
             keep[ends] = False
         found = found[keep]
-    return np.divmod(found.astype(np.int32), width)
+        del keep
+    pos = nz[found >> 3]  # unpacked bit i is bit i & 7 of byte nz[i >> 3]
+    pos <<= 3
+    found &= 7
+    pos |= found
+    return np.divmod(pos.astype(np.int32), 64 * parents.shape[1])
 
 
 def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SET_LIMIT,
@@ -373,9 +393,9 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
     with candidates as packed uint64 bitsets over the mask's vertices
     relabelled in ascending order, so a child's candidates are its parent's
     ANDed with the forward set of its vertex. A step expands the next pending
-    nodes of the top frame, as many as unpack into _STEP_BYTES (at least
-    one), and pushes their live children, in (parent, vertex) order, above
-    what is left of that frame: sets come out in the DFS's order, and the
+    nodes of the top frame, as many as hold _STEP_BYTES bits of bitset (at
+    least one), and pushes their live children, in (parent, vertex) order,
+    above what is left of that frame: sets come out in the DFS's order, and the
     stack holds at most one frame per depth. A step's children number its
     parents' popcounts less need - 1 each, counted before any is built. A
     frame keeps its nodes' candidates and, as parent pointers, the position
@@ -432,6 +452,7 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
         elif (children := _children(cands[start:stop], pc, start, need, link, fwd)):
             stack.append(children)
     pos = np.concatenate(out) if out else np.empty((0, k), dtype=np.int32)
+    del out  # the pieces go before the check allocates its pair keys
     dependent = adj.ravel()[_pair_keys(pos, s)].any(axis=1)
     if dependent.any():
         bad = tuple(verts[pos[np.argmax(dependent)]].tolist())
@@ -443,7 +464,7 @@ def _leaves(parents: np.ndarray, start: int, link, k: int) -> np.ndarray:
     """The k-sets, as positions, below the nodes start, start + 1, ... of a
     frame that needs one more vertex, whose candidate bitsets are `parents`:
     one gather per level rebuilds each set from the links."""
-    pidx, v = _kept(parents, None, 1, 64 * parents.shape[1])
+    pidx, v = _kept(parents, None, 1)
     sets = np.empty((len(v), k), dtype=np.int32)
     sets[:, -1] = v
     idx = pidx + start
@@ -460,18 +481,19 @@ def _children(parents: np.ndarray, pc: np.ndarray, start: int, need: int, link,
     a frame that needs `need` > 1 more vertices, whose candidate bitsets are
     `parents` with popcounts pc; None when every child dies."""
     words = parents.shape[1]
-    pidx, v = _kept(parents, pc, need, 64 * words)
+    pidx, v = _kept(parents, pc, need)
     child = np.take(parents, pidx, axis=0)
     child &= np.take(fwd, v, axis=0)
     counts = np.bitwise_count(child)
     cpc = counts[:, 0].astype(np.int32)
     for w in range(1, words):
         cpc += counts[:, w]
+    del counts
     live = np.flatnonzero(cpc >= need - 1)
     if not len(live):
         return None
-    return [np.take(child, live, axis=0), cpc[live], 0, need - 1,
-            (v[live], pidx[live] + start, link)]
+    child = np.take(child, live, axis=0)  # frees the born children first
+    return [child, cpc[live], 0, need - 1, (v[live], pidx[live] + start, link)]
 
 
 def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
@@ -482,12 +504,14 @@ def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
 
     Raises EnumerationLimitError if their number would exceed `limit` or,
     when node_budget is set, if the search tree outgrows it; ValueError
-    unless k >= 1 and limit >= 0.
+    unless k >= 1, limit >= 0 and node_budget is None or an integer >= 0.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
+        raise ValueError(f"node_budget must be None or an integer >= 0, got {node_budget!r}")
     sets = _enumerate_sets(g.rows, _vertex_mask(g, within), k, limit, node_budget)
     return IsetFamily(k=k, sets=tuple(map(tuple, sets.tolist())),
                       coverage=_coverage(_pair_keys(sets, g.n), g.n))

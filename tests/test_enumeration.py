@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import random
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -96,6 +97,33 @@ def test_one_parent_per_step(monkeypatch, k):
     _check(g, _mask(48, k), k)
 
 
+# Peak traced bytes (KiB) of one _enumerate_sets call on the 130-vertex mask
+# of G(600, 1/2) below, measured with _STEP_BYTES = 2^19. At k = 3 the peak is
+# the final independence check over the 43 739 sets, at k = 9 the widest step
+# of the dense depth-2 frame (2 585 parents on 3-word bitsets). The parent
+# kernel, with steps of 2^18 and every candidate unpacked, peaked at 2 808
+# and 1 123 KiB. A call may use up to 10% more than measured.
+PEAK_KIB = {3: 2295, 9: 1587}
+
+
+@pytest.mark.parametrize("k", sorted(PEAK_KIB))
+def test_peak_memory_of_a_call(k):
+    g, within = _graph(0.5), _mask(130, 1)
+    isets._enumerate_sets(g.rows, within, k)  # numpy's first-call allocations
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        isets._enumerate_sets(g.rows, within, k)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 1.1 * PEAK_KIB[k] * 1024
+
+
 def _smallest_budget(g, k: int, within: int) -> int:
     """The smallest node_budget enumerate_isets passes with, by bisection."""
     hi = 1
@@ -125,6 +153,19 @@ def test_step_size_only_groups_nodes(monkeypatch, step):
         assert _smallest_budget(g, k, within) == nodes
         assert _raises(enumerate_isets, g, k, limit=len(sets) - 1, within=within)
         assert not _raises(enumerate_isets, g, k, limit=len(sets), within=within)
+
+
+@pytest.mark.parametrize("budget", [-1, 2.5, True, False, "10"])
+def test_node_budget_must_be_none_or_a_count(budget):
+    # a bad budget is a bad argument, not a blown search
+    with pytest.raises(ValueError, match="node_budget"):
+        enumerate_isets(_graph(0.5), 2, node_budget=budget, within=_mask(10, 0))
+
+
+def test_zero_node_budget_blows_every_enumeration():
+    # 0 is a valid budget: the root alone exceeds it
+    with pytest.raises(EnumerationLimitError, match="node budget 0"):
+        enumerate_isets(_graph(0.5), 2, node_budget=0, within=_mask(10, 0))
 
 
 def test_threads_share_no_state():

@@ -121,6 +121,22 @@ def test_strip_color_takes_matrix_picks_and_skips_sizing_extracts(monkeypatch):
     assert hashlib.sha256(out).hexdigest() == PINNED_G300
 
 
+def test_word_matrix_is_built_only_when_a_pick_can_use_it(monkeypatch):
+    # n = 100 <= _WIDE_PICK: every mask is narrow and every pick scans, so
+    # the call builds no matrix, unless _WIDE_PICK is lowered at call time
+    n, p = 100, 0.5
+    g = generate_gnp(GnpParams(n, p, 3))
+    added = plant_clique(g, range(10))
+    built = []
+    words = coloring._words
+    monkeypatch.setattr(coloring, "_words", lambda bits: built.append(bits) or words(bits))
+    plain = strip_color(g, added, 1.0, build_profile(n, p, 1.0))
+    assert not built
+    monkeypatch.setattr(isets, "_WIDE_PICK", 0)
+    assert strip_color(g, added, 1.0, build_profile(n, p, 1.0)) == plain
+    assert len(built) == 1
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_family_layer_matches_references(seed):
