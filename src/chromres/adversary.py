@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .coloring import Coloring, chromatic_exact, find_coloring, verify_coloring
-from .graph import EdgeSet, Graph, union
+from .coloring import Coloring, _search, chromatic_exact, verify_coloring
+from .graph import EdgeSet, Graph, _count, union
 from .isets import SizeLimitError
 
 
@@ -41,9 +41,10 @@ def plant_clique(g: Graph, target_vertices: Iterable[int]) -> EdgeSet:
 
 def random_budget(g: Graph, m: int, seed: int) -> EdgeSet:
     """m uniformly chosen distinct non-edges of g, deterministic in seed;
-    ValueError unless 0 <= m <= the number of non-edges."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    ValueError unless m and seed are counts and m <= the number of
+    non-edges."""
+    _count("m", m)
+    _count("seed", seed)
     non_edges = g.non_edges()
     if m > len(non_edges):
         raise ValueError(f"m={m} exceeds the {len(non_edges)} non-edges available")
@@ -64,11 +65,15 @@ def bounded_degree_h(n: int, delta: int, seed: int) -> tuple[EdgeSet, int]:
     pairs. After _MATCHING_ATTEMPTS rejections one more matching is kept
     with loops and duplicates erased (degrees only shrink, so the cap still
     holds; exact uniformity is not the contract). Returns the edges and the
-    realized maximum degree.
+    realized maximum degree. ValueError unless n, delta and seed are counts
+    and delta <= n - 1.
     """
+    _count("n", n)
+    _count("delta", delta)
+    _count("seed", seed)
     if delta > n - 1:
         raise ValueError("delta must be <= n-1")
-    if delta <= 0 or n < 2:
+    if delta == 0 or n < 2:
         return EdgeSet(frozenset()), 0
     rng = np.random.Generator(np.random.PCG64(seed))
     stubs = np.repeat(np.arange(n), delta)
@@ -132,7 +137,7 @@ def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
                 split[u, v] |= bit
         bit <<= 1
 
-    base_coloring = find_coloring(g, chi_cap)
+    base_coloring = _search(g, chi_cap)
     if base_coloring is None:
         raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
     admit(g, base_coloring)
@@ -147,7 +152,7 @@ def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
                 continue
             e = EdgeSet(frozenset(pairs))
             h = union(g, e)
-            coloring = find_coloring(h, chi_cap)
+            coloring = _search(h, chi_cap)
             if coloring is None:
                 return value, e
             admit(h, coloring)
@@ -159,8 +164,11 @@ def global_resilience_witness(g: Graph, chi_cap: int,
     """Least m <= m_max with an m-edge addition pushing chi above chi_cap,
     plus one witness edge set; None if no m qualifies.
 
-    Search: size classes ascending, colex order within a class.
+    Search: size classes ascending, colex order within a class. ValueError
+    unless chi_cap and m_max are counts.
     """
+    _count("chi_cap", chi_cap)
+    _count("m_max", m_max)
     non_edges = g.non_edges()
     return _first_defeat(g, chi_cap, non_edges, (
         (size, _colex_combinations(non_edges, size))
@@ -253,8 +261,12 @@ def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
     Exhaustive over maximal degree-bounded subsets of the non-edges, Delta
     ascending, so the first success is minimal. Restricted to n <= size_limit;
     SearchBudgetError when one Delta's subset search visits more than
-    node_budget nodes.
+    node_budget nodes. ValueError unless the four numbers are counts.
     """
+    _count("chi_cap", chi_cap)
+    _count("delta_max", delta_max)
+    _count("size_limit", size_limit)
+    _count("node_budget", node_budget)
     if g.n > size_limit:
         raise SizeLimitError(f"n={g.n} exceeds local-oracle limit {size_limit}")
     non_edges = g.non_edges()

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-from .graph import RegimeWarning
+from .graph import RegimeWarning, _count, _real
 
 # strip_color caps pair coverage at CAP_MULTIPLIER * mu0 (backed in build_profile)
 CAP_MULTIPLIER = 4.0
@@ -28,7 +28,8 @@ def log_binomial(n: int, k: int) -> float:
 def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     """Largest k in [1, n] whose expected independent-set count is >= theta.
 
-    Returns None when no k qualifies (absence is a value, not an error).
+    Returns None when no k qualifies (absence is a value, not an error);
+    ValueError unless 0 < p < 1 and theta is positive and finite.
     theta=1 is the first-moment proxy for the independence number; theta=n**4
     reproduces the threshold the asymptotic analysis uses. The expected
     count of independent k-sets is C(n, k) (1-p)^C(k, 2).
@@ -38,10 +39,8 @@ def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     is a contiguous interval; the ascending scan keeps the binomial exact by
     incremental integer updates and stops once past the peak and below theta.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if not theta > 0:  # also rejects NaN
-        raise ValueError("theta must be positive")
+    _real("p", p, 1.0)
+    _real("theta", theta)
     log_theta = math.log(theta)
     log_q = math.log1p(-p)
     best = None
@@ -65,8 +64,7 @@ def expected_counts(n: int, p: float, k0: int) -> tuple[float, float]:
     mu0 = C(n-2, k0-2) * (1-p)^C(k0, 2)
     so mu0/mu = k0(k0-1) / (n(n-1)) exactly.
     """
-    if k0 < 2:
-        raise ValueError("k0 must be >= 2")
+    _count("k0", k0, 2)
     if k0 > n:
         raise ValueError("k0 must be <= n")
     log_weight = (k0 * (k0 - 1) // 2) * math.log1p(-p)
@@ -187,8 +185,7 @@ def tail_bounds(profile: AnalyticProfile, delta: float) -> TailBounds:
     """
     if profile.k0 is None or profile.log_mu is None or profile.log_mu0 is None:
         raise ValueError("profile lacks k0/mu/mu0")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    _real("delta", delta, 1.0)
     log_ratio_sq = 2.0 * (profile.log_mu - profile.log_mu0)
     n2p = profile.n * profile.n * profile.p
     lower_exp = math.exp(min(700.0, log_ratio_sq - math.log(300.0 * n2p)))
@@ -203,10 +200,11 @@ def predicted_chromatic(n: int, p: float, epsilon: float) -> tuple[Optional[floa
     """(target, k) where target = (1+eps) n / (2 log_b(np)).
 
     Both are None when np <= 1: the logarithm degenerates and the prediction
-    is signaled absent rather than thrown.
+    is signaled absent rather than thrown. ValueError unless 0 < p < 1 and
+    epsilon >= 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _real("p", p, 1.0)
+    _real("epsilon", epsilon, zero=True)
     np_ = n * p
     if np_ <= 1.0:
         return None, None

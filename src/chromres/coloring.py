@@ -28,8 +28,10 @@ import numpy as np
 
 from . import isets
 from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
-from .graph import (EdgeSet, Graph, _bits, _edges_inside, _members, _words, induced_subgraph,
-                    mask_of, union)
+# induced_subgraph is no longer called here; the name stays bound because
+# perfbench's tracer selftest checks that it patches this binding too
+from .graph import (EdgeSet, Graph, _bits, _count, _edges_inside, _members, _real, _words,
+                    induced_subgraph, mask_of, union)  # noqa: F401
 from .isets import (
     EnumerationLimitError,
     SizeLimitError,
@@ -113,11 +115,16 @@ def dsatur(g: Graph) -> Coloring:
 
 def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     """Smallest-last ordering and the degeneracy (max degree at removal)."""
-    alive = (1 << g.n) - 1
+    return _smallest_last(g.rows, (1 << g.n) - 1)
+
+
+def _smallest_last(rows: tuple[int, ...], alive: int) -> tuple[list[int], int]:
+    """degeneracy_order of the vertex mask alive: neighbours outside it do
+    not count."""
     removal: list[int] = []
     degeneracy = 0
     while alive:
-        v, d = min_degree_vertex(g.rows, alive)
+        v, d = min_degree_vertex(rows, alive)
         degeneracy = max(degeneracy, d)
         removal.append(v)
         alive &= ~(1 << v)
@@ -129,19 +136,28 @@ def degeneracy_color(g: Graph) -> tuple[Coloring, int]:
 
     Uses at most degeneracy+1 colors; returns the coloring and the degeneracy.
     """
-    removal, degeneracy = degeneracy_order(g)
-    colors = [-1] * g.n
+    colors, num, degeneracy = _degeneracy_colors(g.rows, (1 << g.n) - 1)
+    return Coloring(tuple(colors), num), degeneracy
+
+
+def _degeneracy_colors(rows: tuple[int, ...], mask: int) -> tuple[list[int], int, int]:
+    """(colors, num, degeneracy): degeneracy_color of the vertex mask, as a
+    color per label (-1 outside the mask) with the number of colors used;
+    neighbours outside the mask block no color. The picks and colors are
+    those of degeneracy_color on the induced subgraph, whose relabelling
+    keeps the label order."""
+    removal, degeneracy = _smallest_last(rows, mask)
+    colors = [-1] * len(rows)
     for v in reversed(removal):
-        used = {colors[w] for w in _members(g.rows[v])}  # -1, uncolored, blocks nothing
+        used = {colors[w] for w in _members(rows[v] & mask)}  # -1, uncolored, blocks nothing
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    num = max(colors) + 1 if colors else 0
-    coloring = Coloring(tuple(colors), num)
+    num = 1 + max((colors[v] for v in removal), default=-1)
     if num > degeneracy + 1:
         raise AssertionError(f"{num} colors exceed degeneracy + 1 = {degeneracy + 1}")
-    return coloring, degeneracy
+    return colors, num, degeneracy
 
 
 def greedy_clique(g: Graph) -> int:
@@ -170,7 +186,9 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     colors (-1 once colored), updated and undone with each vertex's bitmask
     of neighbour colors, so a pick is one scan of a list for its maximum. A
     vertex's neighbour list is built the first time it is colored.
+    ValueError unless k is a count.
     """
+    _count("k", k)
     return _search(g, k)
 
 
@@ -333,8 +351,10 @@ def chromatic_exact(g: Graph, limit: int = 40) -> int:
     from DSATUR's; one found (and verified) ends the walk at k, since every
     smaller k is already refuted. If TabuCol fails too, the exact search
     settles k without a budget. So the value is exact; the budget, move cap
-    and seed only move time between the two searches.
+    and seed only move time between the two searches. ValueError unless
+    limit is a count.
     """
+    _count("limit", limit)
     if g.n > limit:
         raise SizeLimitError(f"n={g.n} exceeds exact-chromatic limit {limit}")
     if g.n == 0:
@@ -374,10 +394,8 @@ class StripKnobs:
     def __post_init__(self) -> None:
         if self.variant not in ("global", "local"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name, value in (("family_size_limit", self.family_size_limit),
-                            ("node_budget", self.node_budget)):
-            if type(value) is not int or value < 0:  # bool is no count either
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        _count("family_size_limit", self.family_size_limit)
+        _count("node_budget", self.node_budget)
 
 
 @dataclass(frozen=True)
@@ -427,12 +445,13 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     to the greedy route. A round whose enumeration blows node_budget takes
     one exact maximum independent set when s <= _EXACT_ALPHA_LIMIT and the
     greedy route otherwise; both are flagged in the trace. The residue is
-    colored by degeneracy_color. ValueError unless epsilon > 0.
+    colored by degeneracy_color on its mask of the union. ValueError unless
+    epsilon is positive and finite.
 
-    S is held as a bitmask over the original vertex labels and every search
-    runs on that mask of base or of the union, never on a relabelled copy;
-    the residue is the one induced subgraph built per call. Families are
-    arrays of sets, and the added pairs become keys once per call. A later
+    S is held as a bitmask over the original vertex labels and every search,
+    the residue's coloring included, runs on that mask of base or of the
+    union, never on a relabelled copy. Families are arrays of sets, and the
+    added pairs become keys once per call. A later
     step at the size of the last enumerated family filters it to S
     (isets._restricted), which gives the fresh enumeration's sets, order and
     limit trips; a step at another size, or after a blown budget, enumerates.
@@ -445,8 +464,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     set is independent, so its size is at most alpha(S) <= alpha_bound and
     it cannot raise k_target; the round runs it only if it ends greedy.
     """
-    if not epsilon > 0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
+    _real("epsilon", epsilon)
     if profile.k0 is None or profile.k is None:
         raise ValueError("profile lacks k0/k; compute it for np > 1 and a reachable theta")
     if profile.n != base.n:
@@ -550,14 +568,10 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         rounds.append((s, k_target, route, len(final), planted))
         remaining &= ~mask_of(final)
 
-    residual_colors = 0
-    if remaining:
-        sub_union, sub_map = induced_subgraph(full, _members(remaining))
-        res_coloring, _ = degeneracy_color(sub_union)
-        for i, v in enumerate(sub_map):
-            colors[v] = next_color + res_coloring.colors[i]
-        residual_colors = res_coloring.num_colors
-        next_color += residual_colors
+    residual, residual_colors, _ = _degeneracy_colors(full.rows, remaining)
+    for v in _members(remaining):
+        colors[v] = next_color + residual[v]
+    next_color += residual_colors
 
     coloring = Coloring(tuple(colors), next_color)
     if not verify_coloring(full, coloring):

@@ -27,11 +27,18 @@ _rows_from_pairs, which sets the bits of bounded blocks of rows and counts
 distinct edges by popcount. induced_subgraph, and in isets the maximum
 independent set search and the enumeration's forward sets, read their
 relabelled adjacency from _projected.
+
+_count and _real are the package's one check of a scalar parameter: a count
+is an int (a bool is none) of at least some least value, a real an int or a
+float (not a bool) strictly between 0 and an upper bound, optionally 0
+included, never NaN. Each raises a ValueError whose message begins with the
+argument's name.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 import warnings
@@ -64,6 +71,23 @@ class GraphFormatError(ValueError):
 
 class RegimeWarning(UserWarning):
     """Parameters outside the edge-probability regime the analytics assume."""
+
+
+def _count(name: str, value, least: int = 0) -> None:
+    """ValueError naming `name` unless value is an int, not a bool, >= least."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _real(name: str, value, high: float = math.inf, zero: bool = False) -> None:
+    """ValueError naming `name` unless value is an int or a float, not a
+    bool, with 0 < value < high, or 0 <= value < high when zero is set; NaN
+    and infinities never pass."""
+    if not ((type(value) is float or type(value) is int)
+            and (0 < value or zero and value == 0) and value < high):
+        bounds = (f"lie strictly between 0 and {high:g}" if high < math.inf
+                  else "be >= 0 and finite" if zero else "be positive and finite")
+        raise ValueError(f"{name} must {bounds}, got {value!r}")
 
 
 def _normalize_pair(u: int, v: int) -> tuple[int, int]:
@@ -189,17 +213,19 @@ class Graph:
 
 @dataclass(frozen=True)
 class GnpParams:
-    """Parameters of a seeded binomial random graph draw."""
+    """Parameters of a seeded binomial random graph draw: ValueError unless n
+    is a count in 1.._MAX_VERTICES, 0 < p < 1 and seed is a count."""
 
     n: int
     p: float
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly between 0 and 1")
+        _count("n", self.n, 1)
+        if self.n > _MAX_VERTICES:
+            raise ValueError(f"n must be <= {_MAX_VERTICES}, got {self.n}")
+        _real("p", self.p, 1.0)
+        _count("seed", self.seed)
         # Regime check is advisory only: the analytics are derived for
         # n^(-1/3) <= p <= 1/2 and degrade gracefully outside it.
         if self.p > 0.5 or self.p < self.n ** (-1 / 3):

@@ -49,7 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import EdgeSet, Graph, _bits, _ints, _members, _projected, _words, mask_of
+from .graph import (EdgeSet, Graph, _bits, _count, _ints, _members, _projected, _real, _words,
+                    mask_of)
 
 
 # Bits of candidate bitset that one enumeration step expands, the bytes that
@@ -71,6 +72,11 @@ _STEP_BYTES = 1 << 19
 # every degree at once instead of scanning the members (measured, see
 # BENCH_pr19.json: the matrix pick costs about as much as a scan of this many).
 _WIDE_PICK = 160
+
+# Bytes of int64 pair keys the final independence check of an enumeration
+# builds at once (at least one set's): it checks the sets in row blocks of
+# this size, and a block's temporaries peak at about 1.5 times as many bytes.
+_CHECK_BYTES = 1 << 20
 
 # Sets an enumeration may return before it raises EnumerationLimitError,
 # unless the caller passes another limit.
@@ -132,8 +138,10 @@ def max_independent_set(g: Graph, limit: int = 120,
     alpha - 1 and stops at its first set of size alpha. A subtree is cut
     only when its bound cannot beat the incumbent, so from any starting
     bound below alpha that walk records the same first set of size alpha.
-    Raises SizeLimitError when `within` holds more than `limit` vertices.
+    Raises SizeLimitError when `within` holds more than `limit` vertices,
+    and ValueError unless limit is a count.
     """
+    _count("limit", limit)
     top = _vertex_mask(g, within)
     size = top.bit_count()
     if size > limit:
@@ -330,8 +338,7 @@ def _capped(keys: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
     """(kept, excess): which rows of `keys` hold no pair covered more than
     cap times, and the coverage mass of the pairs that are; the kept rows'
     coverage is checked against the cap."""
-    if not 0 <= cap < math.inf:  # also rejects NaN
-        raise ValueError(f"cap must be >= 0 and finite, got {cap}")
+    _real("cap", cap, zero=True)
     uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(keys.shape)
     kept = ~(counts > cap)[inverse].any(axis=1)
@@ -402,8 +409,10 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
     each chose last and the index of its parent in the frame below; a leaf
     step rebuilds its sets with one gather per level. Sets stay positions
     until the end, where they are checked on the adjacency among the mask's
-    vertices and turned into labels. The node and set counts are totals over
-    the same tree, so both limits trip exactly when the DFS's do.
+    vertices, in blocks of at most _CHECK_BYTES of pair keys (one block for
+    any family that fits, none for an empty one), and turned into labels.
+    The node and set counts are totals over the same tree, so both limits
+    trip exactly when the DFS's do.
     """
     s = within.bit_count()
     if k > s:
@@ -453,10 +462,12 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
             stack.append(children)
     pos = np.concatenate(out) if out else np.empty((0, k), dtype=np.int32)
     del out  # the pieces go before the check allocates its pair keys
-    dependent = adj.ravel()[_pair_keys(pos, s)].any(axis=1)
-    if dependent.any():
-        bad = tuple(verts[pos[np.argmax(dependent)]].tolist())
-        raise AssertionError(f"enumerate_isets returned a dependent set {bad}")
+    span = max(1, _CHECK_BYTES // max(8, 4 * k * (k - 1)))  # sets per block of the check
+    for r0 in range(0, len(pos), span):
+        dependent = adj.ravel()[_pair_keys(pos[r0:r0 + span], s)].any(axis=1)
+        if dependent.any():
+            bad = tuple(verts[pos[r0 + np.argmax(dependent)]].tolist())
+            raise AssertionError(f"enumerate_isets returned a dependent set {bad}")
     return verts[pos]
 
 
@@ -504,14 +515,12 @@ def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
 
     Raises EnumerationLimitError if their number would exceed `limit` or,
     when node_budget is set, if the search tree outgrows it; ValueError
-    unless k >= 1, limit >= 0 and node_budget is None or an integer >= 0.
+    unless k is a count >= 1, limit a count and node_budget None or a count.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
-        raise ValueError(f"node_budget must be None or an integer >= 0, got {node_budget!r}")
+    _count("k", k, 1)
+    _count("limit", limit)
+    if node_budget is not None:
+        _count("node_budget", node_budget)
     sets = _enumerate_sets(g.rows, _vertex_mask(g, within), k, limit, node_budget)
     return IsetFamily(k=k, sets=tuple(map(tuple, sets.tolist())),
                       coverage=_coverage(_pair_keys(sets, g.n), g.n))

@@ -25,7 +25,8 @@ import numpy as np
 from . import analytics
 from .adversary import bounded_degree_h, plant_clique, random_budget
 from .coloring import StripKnobs, chromatic_exact, dsatur, strip_color, verify_coloring
-from .graph import EdgeSet, Graph, GnpParams, _edges_inside, generate_gnp, mask_of, union
+from .graph import (EdgeSet, Graph, GnpParams, _count, _edges_inside, _real, generate_gnp,
+                    mask_of, union)
 from .isets import enumerate_isets, uniform_family
 
 RESULT_SCHEMA_VERSION = 1
@@ -82,15 +83,16 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     absence. Sizes are scanned in ascending order; exhaustive subsets come in
     lexicographic order, walked as a DFS that carries each prefix's edge
     count, and sampled ones in the order drawn. ValueError unless 0 < p < 1,
-    np > 1 and epsilon > 0.
+    np > 1, epsilon is positive and finite, and samples and seed are counts
+    (samples >= 1 in sampled mode).
     """
     n = g.n
-    if not 0.0 < p < 1.0:  # also rejects NaN
-        raise ValueError("p must lie strictly between 0 and 1")
+    _real("p", p, 1.0)
     if n * p <= 1.0:
         raise ValueError("density audit needs np > 1")
-    if not epsilon > 0:  # also rejects NaN
-        raise ValueError("epsilon must be positive")
+    _real("epsilon", epsilon)
+    _count("samples", samples, 1 if mode == "sampled" else 0)
+    _count("seed", seed)
     log_np = math.log(n * p)
     s_max = math.floor(epsilon * n / (16.0 * log_np))
     s_max = min(s_max, n)
@@ -104,10 +106,7 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
         if total > _AUDIT_BUDGET:
             raise AuditBudgetError(
                 f"{total} subsets across sizes {sizes} exceed budget {_AUDIT_BUDGET}")
-    elif mode == "sampled":
-        if samples < 1:
-            raise ValueError(f"sampled audit needs samples >= 1, got {samples}")
-    else:
+    elif mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
 
     violations = []
@@ -186,10 +185,11 @@ def concentration_sample(n: int, p: float, theta: float, cap_multiplier: float,
 
     Trial t uses the graph seed derived from (seed, t); the cap is
     cap_multiplier * mu0 from the (n, p, theta) profile; each family is
-    enumerated under enumerate_isets' default limit.
+    enumerated under enumerate_isets' default limit. ValueError unless
+    trials is a count and cap_multiplier is >= 0 and finite.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    _count("trials", trials)
+    _real("cap_multiplier", cap_multiplier, zero=True)
     profile = analytics.build_profile(n, p, theta)
     if trials == 0:
         return ConcentrationSummary(n=n, p=p, theta=theta,
@@ -254,17 +254,15 @@ class ExperimentConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"choose from {sorted(STRATEGIES)}")
-        for name in ("epsilon", "theta"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive")
+        _real("epsilon", self.epsilon)
+        _real("theta", self.theta)
         for p in self.p_list:
-            if not 0.0 < p < 1.0:  # also rejects NaN
-                raise ValueError("p must lie strictly between 0 and 1")
+            _real("p", p, 1.0)
         for n in self.n_list:
-            if n < 1:
-                raise ValueError("n must be >= 1")
-        if self.exact_limit < 0:
-            raise ValueError("exact_limit must be >= 0")
+            _count("n", n, 1)
+        for seed in self.seeds:
+            _count("seed", seed)
+        _count("exact_limit", self.exact_limit)
 
     def params_dict(self) -> dict[str, float]:
         return dict(self.strategy_params)
@@ -368,9 +366,8 @@ def run_row(config: ExperimentConfig, n: int, p: float, seed: int) -> dict:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[dict]:
     """All rows of the sweep, in canonical (n, p, seed) order; ValueError
-    unless workers >= 1."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    unless workers is a count >= 1."""
+    _count("workers", workers, 1)
     keys = [(n, p, seed)
             for n in config.n_list for p in config.p_list for seed in config.seeds]
     if workers > 1:
@@ -417,10 +414,14 @@ def parse_config(text: str) -> ExperimentConfig:
     """Plain-text key=value config (one per line, '#' comments).
 
     Lists are comma-separated (n=30,40); seeds accept 'a..b' ranges;
-    strategy parameters are strategy.key=value lines.
+    strategy parameters are strategy.key=value lines and must be finite.
+    ValueError naming the key for a key given twice, an unknown key and a
+    value that does not convert.
     """
     fields: dict = {}
     strat_params: dict[str, float] = {}
+    knobs: dict = {}
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -428,44 +429,46 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"bad config line {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("strategy."):
-            strat_params[key[len("strategy."):]] = float(value)
-        elif key == "n":
-            fields["n_list"] = tuple(int(x) for x in value.split(","))
-        elif key == "p":
-            fields["p_list"] = tuple(float(x) for x in value.split(","))
-        elif key == "seeds":
-            if ".." in value:
-                lo, hi = value.split("..")
-                fields["seeds"] = tuple(range(int(lo), int(hi) + 1))
+        if key in seen:
+            raise ValueError(f"config key {key!r} is repeated")
+        seen.add(key)
+        try:
+            if key.startswith("strategy."):
+                number = strat_params[key[len("strategy."):]] = float(value)
+                if not math.isfinite(number):
+                    raise ValueError(f"must be finite, got {value!r}")
+            elif key == "n":
+                fields["n_list"] = tuple(int(x) for x in value.split(","))
+            elif key == "p":
+                fields["p_list"] = tuple(float(x) for x in value.split(","))
+            elif key == "seeds":
+                if ".." in value:
+                    lo, hi = value.split("..")
+                    fields["seeds"] = tuple(range(int(lo), int(hi) + 1))
+                else:
+                    fields["seeds"] = tuple(int(x) for x in value.split(","))
+            elif key == "strategy":
+                fields["strategy"] = value
+            elif key in ("epsilon", "theta"):
+                fields[key] = float(value)
+            elif key == "exact_limit":
+                fields["exact_limit"] = int(value)
+            elif key == "csv":
+                fields["csv_path"] = value
+            elif key == "json":
+                fields["json_path"] = value
+            elif key.startswith("knobs."):
+                name = key[len("knobs."):]
+                defaults = asdict(StripKnobs())
+                if name not in defaults:
+                    raise ValueError(f"unknown knob {name!r}")
+                knobs[name] = type(defaults[name])(value)
             else:
-                fields["seeds"] = tuple(int(x) for x in value.split(","))
-        elif key == "strategy":
-            fields["strategy"] = value
-        elif key in ("epsilon", "theta"):
-            fields[key] = float(value)
-        elif key == "exact_limit":
-            fields["exact_limit"] = int(value)
-        elif key == "csv":
-            fields["csv_path"] = value
-        elif key == "json":
-            fields["json_path"] = value
-        elif key.startswith("knobs."):
-            knob_fields = fields.setdefault("_knobs", {})
-            name = key[len("knobs."):]
-            knob_fields[name] = value
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    knob_fields = fields.pop("_knobs", None)
-    if knob_fields:
-        defaults = asdict(StripKnobs())
-        kwargs = {}
-        for name, value in knob_fields.items():
-            if name not in defaults:
-                raise ValueError(f"unknown knob {name!r}")
-            current = defaults[name]
-            kwargs[name] = type(current)(value) if not isinstance(current, str) else value
-        fields["knobs"] = StripKnobs(**kwargs)
+                raise ValueError("unknown key")
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
+    if knobs:
+        fields["knobs"] = StripKnobs(**knobs)
     if strat_params:
         fields["strategy_params"] = tuple(sorted(strat_params.items()))
     return ExperimentConfig(**fields)

@@ -68,7 +68,7 @@ class TestRandomBudget:
 
     def test_negative_budget(self):
         # rejected where it enters, not deep inside numpy's sampler
-        with pytest.raises(ValueError, match="m must be >= 0"):
+        with pytest.raises(ValueError, match="m must be an integer >= 0"):
             random_budget(Graph.empty(4), -1, 0)
 
     def test_deterministic_and_valid(self):

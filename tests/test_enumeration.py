@@ -97,13 +97,46 @@ def test_one_parent_per_step(monkeypatch, k):
     _check(g, _mask(48, k), k)
 
 
+@pytest.mark.parametrize("check_bytes", [1, 1 << 10])
+def test_check_in_row_blocks(monkeypatch, check_bytes):
+    # the final independence check one set per block, and 42 sets of 3 per block
+    monkeypatch.setattr(isets, "_CHECK_BYTES", check_bytes)
+    _check(_graph(0.5), _mask(48, 3), 3)
+
+
+def test_check_finds_a_dependent_set_past_the_first_block(monkeypatch):
+    # every leaf step's last set is replaced by a dependent one: the first
+    # such set lies far past the first block of 42 sets, and the check names it
+    monkeypatch.setattr(isets, "_CHECK_BYTES", 1 << 10)
+    g, within = _graph(0.5), _mask(48, 3)
+    verts = [v for v in range(N) if within >> v & 1]
+    a, b = next((i, j) for i in range(48) for j in range(i + 1, 48)
+                if g.has_edge(verts[i], verts[j]))
+    c = next(i for i in range(48) if i not in (a, b))
+    assert len(enumerate_isets(g, 3, within=within)) > 42
+    leaves = isets._leaves
+
+    def planted(*args):
+        sets = leaves(*args)
+        sets[-1] = (a, b, c)
+        return sets
+
+    monkeypatch.setattr(isets, "_leaves", planted)
+    with pytest.raises(AssertionError, match=rf"dependent set \({verts[a]}, {verts[b]}, {verts[c]}\)"):
+        isets._enumerate_sets(g.rows, within, 3)
+
+
 # Peak traced bytes (KiB) of one _enumerate_sets call on the 130-vertex mask
 # of G(600, 1/2) below, measured with _STEP_BYTES = 2^19. At k = 3 the peak is
 # the final independence check over the 43 739 sets, at k = 9 the widest step
 # of the dense depth-2 frame (2 585 parents on 3-word bitsets). The parent
 # kernel, with steps of 2^18 and every candidate unpacked, peaked at 2 808
-# and 1 123 KiB. A call may use up to 10% more than measured.
-PEAK_KIB = {3: 2295, 9: 1587}
+# and 1 123 KiB. At k = 5 (260 221 sets) the peak is the position array held
+# twice, once by the concatenation of the leaf steps and once by the labels;
+# the check, in blocks of _CHECK_BYTES, stays below it (a single check of
+# every set at once peaked at 35 736 KiB). A call may use up to 10% more than
+# measured.
+PEAK_KIB = {3: 2295, 5: 10320, 9: 1587}
 
 
 @pytest.mark.parametrize("k", sorted(PEAK_KIB))

@@ -192,7 +192,7 @@ class TestEnumerate:
     def test_negative_limit(self, k):
         # k = 5 exceeds the 4 vertices: an empty family, but the limit is
         # still rejected
-        with pytest.raises(ValueError, match="limit must be >= 0"):
+        with pytest.raises(ValueError, match="limit must be an integer >= 0"):
             enumerate_isets(Graph.empty(4), k, limit=-1)
 
 

@@ -74,7 +74,7 @@ class TestDensityAudit:
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_mode_needs_samples(self, samples):
-        with pytest.raises(ValueError, match="samples >= 1"):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             density_audit(gnp(40, 0.12, 7), 0.12, 5.0, mode="sampled", samples=samples)
 
     # np just above 1 keeps s_max large against the bound, so about half the
@@ -244,7 +244,7 @@ class TestExperiment:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, workers):
         config = parse_config(CONFIG_TEXT + f"csv = {tmp_path / 'rows.csv'}\n")
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             run_experiment(config, workers=workers)
         assert not (tmp_path / "rows.csv").exists()
 
@@ -289,15 +289,15 @@ class TestExperiment:
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_config_rejects_n_below_one(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
             ExperimentConfig(n_list=(5, n), p_list=(0.5,), seeds=(1,))
 
     @pytest.mark.parametrize("exact_limit", [-1, -5])
     def test_config_rejects_negative_exact_limit(self, exact_limit):
         # a negative limit would leave every row's exact_chi blank
-        with pytest.raises(ValueError, match="exact_limit must be >= 0"):
+        with pytest.raises(ValueError, match="exact_limit must be an integer >= 0"):
             ExperimentConfig(n_list=(5,), p_list=(0.5,), seeds=(1,), exact_limit=exact_limit)
-        with pytest.raises(ValueError, match="exact_limit must be >= 0"):
+        with pytest.raises(ValueError, match="exact_limit must be an integer >= 0"):
             parse_config(f"n=20\np=0.5\nseeds=1\nexact_limit={exact_limit}\n")
 
     @pytest.mark.parametrize("name", ["family_size_limit", "node_budget"])
@@ -371,8 +371,8 @@ class TestCli:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, message", [
-        (["isets", "--k", "3", "--limit", "-1"], "limit must be >= 0"),
-        (["attack", "--strategy", "random_budget", "--m", "-1"], "m must be >= 0"),
+        (["isets", "--k", "3", "--limit", "-1"], "limit must be an integer >= 0"),
+        (["attack", "--strategy", "random_budget", "--m", "-1"], "m must be an integer >= 0"),
     ])
     def test_negative_sizes_exit_1(self, tmp_path, capsys, argv, message):
         p = tmp_path / "g.txt"
@@ -415,7 +415,7 @@ class TestCli:
         cfg.write_text(CONFIG_TEXT)
         assert cli_main(["experiment", str(cfg), "--workers", workers]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "workers must be >= 1" in captured.err
+        assert captured.out == "" and "workers must be an integer >= 1" in captured.err
 
     def test_audit(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
@@ -442,7 +442,7 @@ class TestCli:
         assert cli_main(["audit", str(p), "--p", "0.12", "--epsilon", "5.0",
                          "--mode", "sampled"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "samples >= 1" in captured.err
+        assert captured.out == "" and "samples must be an integer >= 1" in captured.err
 
     def test_experiment_exit_codes(self, tmp_path):
         ok_cfg = tmp_path / "ok.cfg"

@@ -102,7 +102,7 @@ def test_budget_error_names_delta():
 
 # G(10, 1/2) seed 0 has chi = 4; at cap 5 the global oracle defeats it with
 # 4 edges and the local oracle at Delta = 3. Searching every candidate that
-# the base coloring leaves improper takes 5806 and 14587 find_coloring calls.
+# the base coloring leaves improper takes 5806 and 14587 exact coloring searches.
 POOL_G = _gnp(10, 0.5, 0)
 POOL_CASES = [
     pytest.param(lambda: global_resilience_witness(POOL_G, 5, 6), 4, 35, id="global"),
@@ -114,13 +114,13 @@ POOL_CASES = [
 @pytest.mark.parametrize("oracle,value,max_searches", POOL_CASES)
 def test_pool_skips_every_candidate_it_can(monkeypatch, oracle, value, max_searches):
     searches: list = []  # (graph searched, coloring or None), in call order
-    search = adversary.find_coloring
+    search = adversary._search
 
     def recorded(h, k):
         searches.append((h, search(h, k)))
         return searches[-1][1]
 
-    monkeypatch.setattr(adversary, "find_coloring", recorded)
+    monkeypatch.setattr(adversary, "_search", recorded)
     hit = oracle()
     assert hit is not None and hit[0] == value
     assert searches[0][0] == POOL_G and searches[-1][1] is None
@@ -137,8 +137,8 @@ def test_pool_skips_every_candidate_it_can(monkeypatch, oracle, value, max_searc
 
 def test_pool_admits_only_proper_colorings(monkeypatch):
     g = _gnp(10, 0.5, 0)
-    base = adversary.find_coloring(g, 5)
+    base = adversary._search(g, 5)
     # every candidate searched is improper under the base coloring
-    monkeypatch.setattr(adversary, "find_coloring", lambda h, k: base)
+    monkeypatch.setattr(adversary, "_search", lambda h, k: base)
     with pytest.raises(AssertionError, match="not a proper 5-coloring"):
         global_resilience_witness(g, 5, 6)

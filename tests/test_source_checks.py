@@ -82,6 +82,78 @@ def test_row_bytes_only_in_graph_codec():
         f"little-endian to_bytes/from_bytes outside graph._bits/_ints: {sorted(calls)}"
 
 
+def _input_check_idioms(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every hand-written parameter check in
+    one of the idioms graph._count and graph._real replace: `type(x) is int`
+    or `is not int`, `not x > 0`, and a chained range `0 < x < 1` or
+    `0 <= x < math.inf` between constant ends."""
+    tree = ast.parse(source)
+
+    def zero(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == 0)
+
+    def upper(node: ast.AST) -> bool:
+        return ((isinstance(node, ast.Constant) and type(node.value) in (int, float))
+                or (isinstance(node, ast.Attribute) and node.attr == "inf"))
+
+    def idiom(node: ast.AST) -> bool:
+        if isinstance(node, ast.Compare):
+            if (isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Name)
+                    and node.left.func.id == "type" and len(node.ops) == 1
+                    and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                    and isinstance(node.comparators[0], ast.Name)
+                    and node.comparators[0].id == "int"):
+                return True
+            return len(node.ops) == 2 and zero(node.left) and upper(node.comparators[1])
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+                and isinstance(node.operand, ast.Compare) and len(node.operand.ops) == 1
+                and isinstance(node.operand.ops[0], ast.Gt) and zero(node.operand.comparators[0]))
+
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if idiom(child):
+                found.append((child.lineno, scope))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_input_checks_only_in_graph_helpers():
+    """Only graph._count and graph._real decide what a count or a real
+    parameter is, so the input contract lives in one place."""
+    paths = sorted(glob.glob(os.path.join(SRC, "chromres", "*.py")))
+    assert paths
+    checks = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            checks |= {(os.path.basename(path), scope, line)
+                       for line, scope in _input_check_idioms(f.read())}
+    allowed = {("graph.py", "_count"), ("graph.py", "_real")}
+    outside = sorted(check for check in checks if check[:2] not in allowed)
+    assert not outside, f"hand-written count or range checks outside the helpers: {outside}"
+
+
+def test_input_check_idioms_flags_each_form():
+    source = "\n".join([
+        "import math",                                    # 1
+        "def f(x, p, cap, v, n):",                        # 2
+        "    if type(x) is not int or x < 0: pass",       # 3
+        "    if type(x) is int: pass",                    # 4
+        "    if not x > 0: pass",                         # 5
+        "    if not 0.0 < p < 1.0: pass",                 # 6
+        "    if not 0 <= cap < math.inf: pass",           # 7
+        "    if not 0 <= v < n: pass",                    # 8 fine: a vertex range
+        "    if x > 0 or type(x) is float: pass",         # 9 fine
+        "    if not x > 1: pass",                         # 10 fine
+    ])
+    assert [line for line, _ in _input_check_idioms(source)] == [3, 4, 5, 6, 7]
+
+
 def _lowest_bit_walks(path: str) -> list[tuple[int, str]]:
     """(line, scope) of every `x & -x` in the file, the lowest set bit of x;
     scope is the module-level function or Class.method that holds it."""
