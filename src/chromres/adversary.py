@@ -20,9 +20,12 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .coloring import Coloring, _search, chromatic_exact, verify_coloring
-from .graph import EdgeSet, Graph, _count, union
+from .coloring import Coloring, _search, verify_coloring
+from .graph import EdgeSet, Graph, _count, _labels, union
 from .isets import SizeLimitError
+
+# Most vertices either oracle takes, chromatic_exact's default limit
+_SIZE_LIMIT = 40
 
 
 class SearchBudgetError(RuntimeError):
@@ -32,9 +35,7 @@ class SearchBudgetError(RuntimeError):
 def plant_clique(g: Graph, target_vertices: Iterable[int]) -> EdgeSet:
     """Every pair inside target_vertices that g is missing."""
     targets = sorted(set(target_vertices))
-    for v in targets:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    _labels(targets, g.n)
     pairs = [(u, v) for u, v in combinations(targets, 2) if not g.has_edge(u, v)]
     return EdgeSet.from_pairs(pairs)
 
@@ -122,7 +123,10 @@ def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
     witness are those of searching every candidate in order. Each coloring
     is checked proper before it joins, since every later skip rests on it.
     """
-    if chromatic_exact(g) > chi_cap:
+    if g.n > _SIZE_LIMIT:
+        raise SizeLimitError(f"n={g.n} exceeds exact-chromatic limit {_SIZE_LIMIT}")
+    base_coloring = _search(g, chi_cap)
+    if base_coloring is None:
         return 0, EdgeSet(frozenset())
     split = dict.fromkeys(non_edges, 0)
     bit = 1
@@ -137,9 +141,6 @@ def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
                 split[u, v] |= bit
         bit <<= 1
 
-    base_coloring = _search(g, chi_cap)
-    if base_coloring is None:
-        raise AssertionError(f"no {chi_cap}-coloring although chi <= {chi_cap}")
     admit(g, base_coloring)
     for value, candidates in classes:
         for pairs in candidates:
@@ -165,7 +166,7 @@ def global_resilience_witness(g: Graph, chi_cap: int,
     plus one witness edge set; None if no m qualifies.
 
     Search: size classes ascending, colex order within a class. ValueError
-    unless chi_cap and m_max are counts.
+    unless chi_cap and m_max are counts; SizeLimitError above 40 vertices.
     """
     _count("chi_cap", chi_cap)
     _count("m_max", m_max)
@@ -259,7 +260,8 @@ def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
     <= Delta pushes chi above chi_cap, plus a witness H; None otherwise.
 
     Exhaustive over maximal degree-bounded subsets of the non-edges, Delta
-    ascending, so the first success is minimal. Restricted to n <= size_limit;
+    ascending, so the first success is minimal. Restricted to n <= size_limit
+    and n <= 40 (SizeLimitError);
     SearchBudgetError when one Delta's subset search visits more than
     node_budget nodes. ValueError unless the four numbers are counts.
     """

@@ -29,7 +29,8 @@ def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     """Largest k in [1, n] whose expected independent-set count is >= theta.
 
     Returns None when no k qualifies (absence is a value, not an error);
-    ValueError unless 0 < p < 1 and theta is positive and finite.
+    ValueError unless n is a count, 0 < p < 1 and theta is positive and
+    finite.
     theta=1 is the first-moment proxy for the independence number; theta=n**4
     reproduces the threshold the asymptotic analysis uses. The expected
     count of independent k-sets is C(n, k) (1-p)^C(k, 2).
@@ -39,6 +40,7 @@ def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     is a contiguous interval; the ascending scan keeps the binomial exact by
     incremental integer updates and stops once past the peak and below theta.
     """
+    _count("n", n)
     _real("p", p, 1.0)
     _real("theta", theta)
     log_theta = math.log(theta)
@@ -128,7 +130,7 @@ def working_k(n: int, p: float) -> Optional[int]:
 
 def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
     """Construct and validate the profile for (n, p, theta)."""
-    k0 = compute_k0(n, p, theta)  # raises ValueError on a bad p or theta
+    k0 = compute_k0(n, p, theta)  # raises ValueError on a bad n, p or theta
     b = 1.0 / (1.0 - p)
     log_mu = log_mu0 = None
     if k0 is not None and k0 >= 2:

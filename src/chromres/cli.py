@@ -14,13 +14,7 @@ import sys
 import warnings
 
 from . import analytics
-from .adversary import (
-    bounded_degree_h,
-    global_resilience_witness,
-    local_resilience_witness,
-    plant_clique,
-    random_budget,
-)
+from .adversary import global_resilience_witness, local_resilience_witness
 from .coloring import chromatic_exact, degeneracy_color, dsatur, strip_color
 from .graph import (
     EdgeSet,
@@ -34,7 +28,10 @@ from .graph import (
     union,
 )
 from .isets import enumerate_isets, uniform_family
-from .lab import density_audit, parse_config, run_experiment
+from .lab import STRATEGIES, density_audit, parse_config, run_experiment
+
+# The one parameter each attack strategy reads, named as its flag
+_STRATEGY_KEYS = {"plant_clique": "t", "random_budget": "m", "bounded_degree": "delta"}
 
 
 def _cmd_generate(args) -> int:
@@ -88,17 +85,11 @@ def _cmd_isets(args) -> int:
 
 def _cmd_attack(args) -> int:
     g = load_graph(args.infile)
-    if args.strategy == "plant_clique":
-        e = plant_clique(g, range(args.t))
-        params = {"t": args.t}
-    elif args.strategy == "random_budget":
-        e = random_budget(g, args.m, args.seed)
-        params = {"m": args.m}
-    elif args.strategy == "bounded_degree":
-        e, max_deg = bounded_degree_h(g.n, args.delta, args.seed)
-        params = {"delta": args.delta, "realized_max_degree": max_deg}
-    else:
-        raise ValueError(f"unknown strategy {args.strategy!r}")
+    key = _STRATEGY_KEYS[args.strategy]
+    params = {key: getattr(args, key)}
+    e = STRATEGIES[args.strategy](g, params, args.seed)
+    if key == "delta":
+        params["realized_max_degree"] = e.max_degree()
     wrapper = {
         "strategy": args.strategy,
         "params": params,
@@ -187,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("attack", help="produce an adversarial edge set")
     s.add_argument("infile")
     s.add_argument("--strategy",
-                   choices=("plant_clique", "random_budget", "bounded_degree"),
-                   required=True)
-    s.add_argument("--t", type=int, default=0, help="clique size for plant_clique")
+                   choices=tuple(_STRATEGY_KEYS), required=True)
+    s.add_argument("--t", type=int, default=0,
+                   help="clique size for plant_clique, as in sweeps: t <= 0 plants the "
+                        "default clique for p = 1/2, and t is capped at n")
     s.add_argument("--m", type=int, default=0, help="edge budget for random_budget")
     s.add_argument("--delta", type=int, default=0, help="degree cap for bounded_degree")
     s.add_argument("--seed", type=int, default=0)

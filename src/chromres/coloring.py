@@ -113,24 +113,6 @@ def dsatur(g: Graph) -> Coloring:
     return Coloring(tuple(colors), max(colors) + 1)
 
 
-def degeneracy_order(g: Graph) -> tuple[list[int], int]:
-    """Smallest-last ordering and the degeneracy (max degree at removal)."""
-    return _smallest_last(g.rows, (1 << g.n) - 1)
-
-
-def _smallest_last(rows: tuple[int, ...], alive: int) -> tuple[list[int], int]:
-    """degeneracy_order of the vertex mask alive: neighbours outside it do
-    not count."""
-    removal: list[int] = []
-    degeneracy = 0
-    while alive:
-        v, d = min_degree_vertex(rows, alive)
-        degeneracy = max(degeneracy, d)
-        removal.append(v)
-        alive &= ~(1 << v)
-    return removal, degeneracy
-
-
 def degeneracy_color(g: Graph) -> tuple[Coloring, int]:
     """Greedy coloring along the reversed smallest-last order.
 
@@ -145,8 +127,15 @@ def _degeneracy_colors(rows: tuple[int, ...], mask: int) -> tuple[list[int], int
     color per label (-1 outside the mask) with the number of colors used;
     neighbours outside the mask block no color. The picks and colors are
     those of degeneracy_color on the induced subgraph, whose relabelling
-    keeps the label order."""
-    removal, degeneracy = _smallest_last(rows, mask)
+    keeps the label order. The degeneracy is the largest degree at removal."""
+    removal: list[int] = []
+    degeneracy = 0
+    alive = mask
+    while alive:
+        v, d = min_degree_vertex(rows, alive)
+        degeneracy = max(degeneracy, d)
+        removal.append(v)
+        alive &= ~(1 << v)
     colors = [-1] * len(rows)
     for v in reversed(removal):
         used = {colors[w] for w in _members(rows[v] & mask)}  # -1, uncolored, blocks nothing

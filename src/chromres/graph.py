@@ -90,6 +90,13 @@ def _real(name: str, value, high: float = math.inf, zero: bool = False) -> None:
         raise ValueError(f"{name} must {bounds}, got {value!r}")
 
 
+def _labels(vertices, n: int) -> None:
+    """ValueError naming the first of vertices outside 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range for n={n}")
+
+
 def _normalize_pair(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise ValueError(f"self-loop ({u},{v}) is not allowed")
@@ -398,9 +405,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     vertex i; mapping is sorted ascending.
     """
     verts = sorted(set(s))
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    _labels(verts, g.n)
     rows = tuple(row for block in _projected(g.rows, verts) for row in _ints(block))
     return Graph(len(verts), rows, sum(map(int.bit_count, rows)) // 2), tuple(verts)
 

@@ -32,8 +32,8 @@ it scans the members one at a time, or, given the rows as a uint64 word
 matrix (graph._words) and a mask of more than _WIDE_PICK members, it counts
 every degree with one popcount over the matrix and takes the first minimum
 among the members. Both give the same vertex. strip_color's sizing extract
-uses the matrix; turan_extract, the union refinement, degeneracy_order and
-the maximum independent set's start scan.
+uses the matrix; turan_extract, the union refinement, the degeneracy coloring
+and the maximum independent set's start scan.
 
 A family is one (m, k) array of labels, a set per row, from enumeration
 through stripping; coverage, the cap and the sparse pick run on its pairs as
@@ -49,8 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import (EdgeSet, Graph, _bits, _count, _ints, _members, _projected, _real, _words,
-                    mask_of)
+from .graph import (EdgeSet, Graph, _bits, _count, _ints, _labels, _members, _projected, _real,
+                    _words, mask_of)
 
 
 # Bits of candidate bitset that one enumeration step expands, the bytes that
@@ -103,9 +103,7 @@ def is_independent(g: Graph, vertices) -> bool:
     """True iff no edge of g joins two of the vertices (repeats allowed);
     ValueError for a label outside 0..n-1."""
     vs = list(vertices)
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    _labels(vs, g.n)
     mask = mask_of(vs)
     rows = g.rows
     return not any(rows[v] & mask for v in vs)

@@ -281,8 +281,16 @@ def _strategy_none(g: Graph, params: dict, seed: int) -> EdgeSet:
     return EdgeSet(frozenset())
 
 
+def _whole(key: str, value: float) -> int:
+    """The strategy parameter `key` as an int; ValueError naming
+    strategy.<key> unless the value is whole."""
+    if value != int(value):
+        raise ValueError(f"strategy.{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _strategy_plant_clique(g: Graph, params: dict, seed: int) -> EdgeSet:
-    t = int(params.get("t", 0))
+    t = _whole("t", params.get("t", 0))
     if t <= 0:
         # default: the doubling construction, a clique on n/log_b(np) vertices
         b = 1.0 / (1.0 - params.get("p", 0.5))
@@ -291,11 +299,11 @@ def _strategy_plant_clique(g: Graph, params: dict, seed: int) -> EdgeSet:
 
 
 def _strategy_random_budget(g: Graph, params: dict, seed: int) -> EdgeSet:
-    return random_budget(g, int(params["m"]), seed)
+    return random_budget(g, _whole("m", params["m"]), seed)
 
 
 def _strategy_bounded_degree(g: Graph, params: dict, seed: int) -> EdgeSet:
-    edges, _ = bounded_degree_h(g.n, int(params["delta"]), seed)
+    edges, _ = bounded_degree_h(g.n, _whole("delta", params["delta"]), seed)
     return edges
 
 

@@ -176,6 +176,26 @@ class TestGlobalOracle:
             if lo is not None and hi is not None:
                 assert lo <= hi
 
+    def test_oracles_run_without_chromatic_exact(self, monkeypatch):
+        # the base case is the pool's first search, _search(g, chi_cap):
+        # neither witness asks chromatic_exact the same question again
+        def refuse(*args, **kwargs):
+            raise RuntimeError("chromatic_exact called")
+
+        monkeypatch.setattr("chromres.adversary.chromatic_exact", refuse, raising=False)
+        assert global_resilience_witness(Graph.cycle(5), 3, 5)[0] == 3
+        assert local_resilience_witness(Graph.cycle(5), 3, 4)[0] == 2
+        assert global_resilience_witness(Graph.complete(4), 3, 2) == (0, EdgeSet(frozenset()))
+        assert local_resilience_witness(Graph.complete(4), 3, 2) == (0, EdgeSet(frozenset()))
+
+    @pytest.mark.parametrize("witness", [
+        lambda g: global_resilience_witness(g, 3, 1),
+        lambda g: local_resilience_witness(g, 3, 1, size_limit=50),
+    ])
+    def test_both_oracles_stop_above_40_vertices(self, witness):
+        with pytest.raises(SizeLimitError, match=r"^n=41 exceeds exact-chromatic limit 40$"):
+            witness(gnp(41, 0.5, 0))
+
     def test_dominance_against_strategies(self):
         for seed in range(10):
             g = gnp(8, 0.5, seed)

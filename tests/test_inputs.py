@@ -84,6 +84,7 @@ CASES = {
                                 lambda v: GnpParams(v, 0.5)),
     "GnpParams.p": ("p", bad_reals(1.0), lambda v: GnpParams(10, v)),
     "GnpParams.seed": ("seed", counts_below(), lambda v: GnpParams(10, 0.5, v)),
+    "compute_k0.n": ("n", counts_below(), lambda v: compute_k0(v, 0.5)),
     "compute_k0.p": ("p", bad_reals(1.0), lambda v: compute_k0(30, v)),
     "compute_k0.theta": ("theta", bad_reals(), lambda v: compute_k0(30, 0.5, v)),
     "expected_counts.k0": ("k0", counts_below(2), lambda v: expected_counts(30, 0.5, v)),
@@ -183,6 +184,8 @@ PROBES = {
         "samples", lambda: density_audit(Graph.empty(20), 0.3, 1.0, samples=math.nan)),
     "concentration_sample-trials-float": (
         "trials", lambda: concentration_sample(30, 0.5, 1.0, 4.0, 2.5, 0)),
+    "compute_k0-n-float": ("n", lambda: compute_k0(2.5, 0.5)),
+    "build_profile-n-negative": ("n", lambda: build_profile(-5, 0.5)),
 }
 
 

@@ -273,6 +273,18 @@ class TestExperiment:
         assert len(rows) == 1
         assert "ValueError" in rows[0]["error"]
 
+    @pytest.mark.parametrize("strategy, line", [
+        ("random_budget", "strategy.m=2.5"), ("bounded_degree", "strategy.delta=1.5"),
+        ("plant_clique", "strategy.t=4.5")])
+    def test_fractional_strategy_value_is_a_row_error(self, strategy, line):
+        # int() truncated the value: m=2.5 added 2 edges without an error
+        key = line.split("=")[0]
+        config = parse_config(f"n=12\np=0.5\nseeds=0\nstrategy={strategy}\n{line}\n")
+        rows = run_experiment(config)
+        assert len(rows) == 1
+        assert rows[0]["error"].startswith(f"ValueError: {key} must be a whole number")
+        assert rows[0]["edges_added"] == ""
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n_list=(), p_list=(0.5,), seeds=(1,))
@@ -483,6 +495,21 @@ class TestCli:
                          "--m-max", "5", "--edges-out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "5 3" and len(lines) == 4
+
+    @pytest.mark.parametrize("t, clique", [("0", 5), ("-2", 5), ("13", 12)])
+    def test_attack_plant_clique_follows_the_sweeps(self, tmp_path, capsys, t, clique):
+        # t <= 0 plants the default clique, ceil(12 / log2(6)) = 5 vertices at
+        # p = 1/2, and a t above n is capped at n, as in a sweep row
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "12", "--p", "0.5", "--seed", "1",
+                         "--out", str(p)]) == 0
+        g = gnp(12, 0.5, 1)
+        capsys.readouterr()
+        assert cli_main(["attack", str(p), "--strategy", "plant_clique", "--t", t]) == 0
+        wrapper = json.loads(capsys.readouterr().out)
+        assert wrapper["params"] == {"t": int(t)}
+        expected = [[u, v] for u, v in combinations(range(clique), 2) if not g.has_edge(u, v)]
+        assert wrapper["edges"] == expected and wrapper["m"] == len(expected)
 
     @pytest.mark.parametrize("attack", [
         ["--strategy", "plant_clique", "--t", "6"],

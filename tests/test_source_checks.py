@@ -217,6 +217,19 @@ def test_readme_cli_lines_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def test_cli_attack_uses_the_strategy_table():
+    """`chromres attack` reaches the adversaries through lab.STRATEGIES, so
+    the CLI and a sweep row read a strategy's parameters the same way."""
+    path = os.path.join(SRC, "chromres", "cli.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert not called & {"plant_clique", "random_budget", "bounded_degree_h"}
+    assert "STRATEGIES" in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 def _function(path: str, name: str) -> ast.FunctionDef:
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
