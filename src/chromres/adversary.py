@@ -20,12 +20,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .coloring import Coloring, _search, verify_coloring
+from .coloring import Coloring, _search, _within_exact_limit, verify_coloring
 from .graph import EdgeSet, Graph, _count, _labels, union
 from .isets import SizeLimitError
-
-# Most vertices either oracle takes, chromatic_exact's default limit
-_SIZE_LIMIT = 40
 
 
 class SearchBudgetError(RuntimeError):
@@ -123,8 +120,7 @@ def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
     witness are those of searching every candidate in order. Each coloring
     is checked proper before it joins, since every later skip rests on it.
     """
-    if g.n > _SIZE_LIMIT:
-        raise SizeLimitError(f"n={g.n} exceeds exact-chromatic limit {_SIZE_LIMIT}")
+    _within_exact_limit(g.n)
     base_coloring = _search(g, chi_cap)
     if base_coloring is None:
         return 0, EdgeSet(frozenset())

@@ -113,6 +113,24 @@ def dsatur(g: Graph) -> Coloring:
     return Coloring(tuple(colors), max(colors) + 1)
 
 
+def degeneracy_order(g: Graph) -> tuple[list[int], int]:
+    """Smallest-last ordering and the degeneracy (max degree at removal)."""
+    return _smallest_last(g.rows, (1 << g.n) - 1)
+
+
+def _smallest_last(rows: tuple[int, ...], alive: int) -> tuple[list[int], int]:
+    """degeneracy_order of the vertex mask alive: neighbours outside it do
+    not count."""
+    removal: list[int] = []
+    degeneracy = 0
+    while alive:
+        v, d = min_degree_vertex(rows, alive)
+        degeneracy = max(degeneracy, d)
+        removal.append(v)
+        alive &= ~(1 << v)
+    return removal, degeneracy
+
+
 def degeneracy_color(g: Graph) -> tuple[Coloring, int]:
     """Greedy coloring along the reversed smallest-last order.
 
@@ -127,15 +145,8 @@ def _degeneracy_colors(rows: tuple[int, ...], mask: int) -> tuple[list[int], int
     color per label (-1 outside the mask) with the number of colors used;
     neighbours outside the mask block no color. The picks and colors are
     those of degeneracy_color on the induced subgraph, whose relabelling
-    keeps the label order. The degeneracy is the largest degree at removal."""
-    removal: list[int] = []
-    degeneracy = 0
-    alive = mask
-    while alive:
-        v, d = min_degree_vertex(rows, alive)
-        degeneracy = max(degeneracy, d)
-        removal.append(v)
-        alive &= ~(1 << v)
+    keeps the label order."""
+    removal, degeneracy = _smallest_last(rows, mask)
     colors = [-1] * len(rows)
     for v in reversed(removal):
         used = {colors[w] for w in _members(rows[v] & mask)}  # -1, uncolored, blocks nothing
@@ -244,6 +255,8 @@ def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring
     return Coloring(tuple(colors), max(colors) + 1)
 
 
+# Most vertices chromatic_exact takes by default, and either resilience oracle
+_EXACT_LIMIT = 40
 # Search nodes chromatic_exact's exact try at one k may enter before the
 # local search takes over, and TabuCol moves per vertex before the exact
 # search runs again without a budget. Both set only how the time splits;
@@ -331,7 +344,14 @@ def _tabucol(g: Graph, k: int, start: Coloring) -> Optional[Coloring]:
     return found
 
 
-def chromatic_exact(g: Graph, limit: int = 40) -> int:
+def _within_exact_limit(n: int, limit: int = _EXACT_LIMIT) -> None:
+    """SizeLimitError when n vertices are more than limit, the guard of
+    chromatic_exact and of both resilience oracles."""
+    if n > limit:
+        raise SizeLimitError(f"n={n} exceeds exact-chromatic limit {limit}")
+
+
+def chromatic_exact(g: Graph, limit: int = _EXACT_LIMIT) -> int:
     """Exact chromatic number; SizeLimitError beyond `limit` vertices.
 
     Walks k up from the greedy clique bound to DSATUR's count. At each k the
@@ -344,8 +364,7 @@ def chromatic_exact(g: Graph, limit: int = 40) -> int:
     limit is a count.
     """
     _count("limit", limit)
-    if g.n > limit:
-        raise SizeLimitError(f"n={g.n} exceeds exact-chromatic limit {limit}")
+    _within_exact_limit(g.n, limit)
     if g.n == 0:
         return 0
     start = dsatur(g)

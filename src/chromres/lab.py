@@ -292,9 +292,11 @@ def _whole(key: str, value: float) -> int:
 def _strategy_plant_clique(g: Graph, params: dict, seed: int) -> EdgeSet:
     t = _whole("t", params.get("t", 0))
     if t <= 0:
-        # default: the doubling construction, a clique on n/log_b(np) vertices
-        b = 1.0 / (1.0 - params.get("p", 0.5))
-        t = math.ceil(g.n / (math.log(g.n * params.get("p", 0.5)) / math.log(b)))
+        # default: the doubling construction, a clique on n/log_b(np) vertices;
+        # none where np <= 1, since log_b(np) is then not positive
+        p = params.get("p", 0.5)
+        b = 1.0 / (1.0 - p)
+        t = math.ceil(g.n / (math.log(g.n * p) / math.log(b))) if g.n * p > 1 else 0
     return plant_clique(g, range(min(t, g.n)))
 
 

@@ -285,6 +285,14 @@ class TestExperiment:
         assert rows[0]["error"].startswith(f"ValueError: {key} must be a whole number")
         assert rows[0]["edges_added"] == ""
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_default_clique_on_tiny_graphs(self, n):
+        # np <= 1 plants nothing; at n = 2 the size divided by log_b(1) = 0
+        rows = run_experiment(parse_config(f"n={n}\np=0.5\nseeds=0\nstrategy=plant_clique\n"))
+        assert rows[0]["error"] == ""
+        assert rows[0]["edges_added"] <= n * (n - 1) // 2
+        assert (rows[0]["edges_added"] == 0) == (n <= 2)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n_list=(), p_list=(0.5,), seeds=(1,))
@@ -510,6 +518,15 @@ class TestCli:
         assert wrapper["params"] == {"t": int(t)}
         expected = [[u, v] for u, v in combinations(range(clique), 2) if not g.has_edge(u, v)]
         assert wrapper["edges"] == expected and wrapper["m"] == len(expected)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (2, 0), (3, 3)])
+    def test_attack_default_clique_on_tiny_graphs(self, tmp_path, capsys, n, m):
+        # the default --t 0 on an edgeless graph: nothing where np <= 1 (at
+        # n = 0 and 2 the size formula raised), the capped clique at n = 3
+        p = tmp_path / "g.txt"
+        p.write_text(f"{n} 0\n")
+        assert cli_main(["attack", str(p), "--strategy", "plant_clique"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == m
 
     @pytest.mark.parametrize("attack", [
         ["--strategy", "plant_clique", "--t", "6"],
