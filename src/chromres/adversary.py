@@ -71,8 +71,6 @@ def bounded_degree_h(n: int, delta: int, seed: int) -> tuple[EdgeSet, int]:
     _count("seed", seed)
     if delta > n - 1:
         raise ValueError("delta must be <= n-1")
-    if delta == 0 or n < 2:
-        return EdgeSet(frozenset()), 0
     rng = np.random.Generator(np.random.PCG64(seed))
     stubs = np.repeat(np.arange(n), delta)
     if len(stubs) % 2 == 1:
@@ -248,9 +246,15 @@ def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: in
         i += 1
 
 
+# Most vertices the local oracle takes, and the subset-search nodes one
+# Delta may visit, unless the caller passes others
+_LOCAL_SIZE_LIMIT = 9
+_LOCAL_NODE_BUDGET = 5_000_000
+
+
 def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
-                             size_limit: int = 9,
-                             node_budget: int = 5_000_000,
+                             size_limit: int = _LOCAL_SIZE_LIMIT,
+                             node_budget: int = _LOCAL_NODE_BUDGET,
                              ) -> Optional[tuple[int, EdgeSet]]:
     """Least Delta <= delta_max such that some added graph H with max degree
     <= Delta pushes chi above chi_cap, plus a witness H; None otherwise.
@@ -274,8 +278,8 @@ def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
 
 
 def local_resilience_oracle(g: Graph, chi_cap: int, delta_max: int,
-                            size_limit: int = 9,
-                            node_budget: int = 5_000_000) -> Optional[int]:
+                            size_limit: int = _LOCAL_SIZE_LIMIT,
+                            node_budget: int = _LOCAL_NODE_BUDGET) -> Optional[int]:
     """Minimum per-vertex budget defeating 'chi <= chi_cap'; see witness."""
     hit = local_resilience_witness(g, chi_cap, delta_max, size_limit, node_budget)
     return None if hit is None else hit[0]

@@ -110,8 +110,9 @@ class AnalyticProfile:
         return d
 
 
-def log_base(b: float, x: float) -> float:
-    return math.log(x) / math.log(b)
+def log_b(p: float, x: float) -> float:
+    """log of x to the base b = 1/(1-p)."""
+    return math.log(x) / math.log(1.0 / (1.0 - p))
 
 
 def working_k(n: int, p: float) -> Optional[int]:
@@ -123,15 +124,13 @@ def working_k(n: int, p: float) -> Optional[int]:
     np_ = n * p
     if np_ <= 1.0:
         return None
-    b = 1.0 / (1.0 - p)
     cube = math.log(n) ** 3
-    return max(2, round(2 * log_base(b, np_ / cube)))
+    return max(2, round(2 * log_b(p, np_ / cube)))
 
 
 def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
     """Construct and validate the profile for (n, p, theta)."""
     k0 = compute_k0(n, p, theta)  # raises ValueError on a bad n, p or theta
-    b = 1.0 / (1.0 - p)
     log_mu = log_mu0 = None
     if k0 is not None and k0 >= 2:
         log_mu, log_mu0 = expected_counts(n, p, k0)
@@ -156,9 +155,9 @@ def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
     np_ = n * p
     chi_pred = None
     if np_ > 1.0:
-        chi_pred = n / (2.0 * log_base(b, np_))
+        chi_pred = n / (2.0 * log_b(p, np_))
     return AnalyticProfile(
-        n=n, p=p, theta=theta, b=b, k0=k0,
+        n=n, p=p, theta=theta, b=1.0 / (1.0 - p), k0=k0,
         log_mu=log_mu, log_mu0=log_mu0,
         k=working_k(n, p), chi_predicted=chi_pred,
     )
@@ -210,6 +209,5 @@ def predicted_chromatic(n: int, p: float, epsilon: float) -> tuple[Optional[floa
     np_ = n * p
     if np_ <= 1.0:
         return None, None
-    b = 1.0 / (1.0 - p)
-    target = (1.0 + epsilon) * n / (2.0 * log_base(b, np_))
+    target = (1.0 + epsilon) * n / (2.0 * log_b(p, np_))
     return target, working_k(n, p)

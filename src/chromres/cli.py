@@ -15,7 +15,7 @@ import warnings
 
 from . import analytics
 from .adversary import global_resilience_witness, local_resilience_witness
-from .coloring import chromatic_exact, degeneracy_color, dsatur, strip_color
+from .coloring import _EXACT_LIMIT, chromatic_exact, degeneracy_color, dsatur, strip_color
 from .graph import (
     EdgeSet,
     GnpParams,
@@ -27,7 +27,7 @@ from .graph import (
     to_edge_list,
     union,
 )
-from .isets import enumerate_isets, uniform_family
+from .isets import _SET_LIMIT, enumerate_isets, uniform_family
 from .lab import STRATEGIES, density_audit, parse_config, run_experiment
 
 # The one parameter each attack strategy reads, named as its flag
@@ -66,8 +66,6 @@ def _cmd_color(args) -> int:
         profile = analytics.build_profile(g.n, args.p, args.theta)
         c, trace = strip_color(g, EdgeSet(frozenset()), args.epsilon, profile)
         out["trace"] = trace.to_json()
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
     out["num_colors"] = c.num_colors
     out["colors"] = list(c.colors)
     print(json.dumps(out, indent=1))
@@ -161,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("infile")
     s.add_argument("--method", choices=("dsatur", "exact", "degeneracy", "strip"),
                    default="dsatur")
-    s.add_argument("--exact-limit", type=int, default=40)
+    s.add_argument("--exact-limit", type=int, default=_EXACT_LIMIT)
     s.add_argument("--p", type=float, default=0.5,
                    help="edge probability the strip profile assumes")
     s.add_argument("--epsilon", type=float, default=1.0)
@@ -172,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("infile")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--cap", type=float, default=None)
-    s.add_argument("--limit", type=int, default=5_000_000)
+    s.add_argument("--limit", type=int, default=_SET_LIMIT)
     s.set_defaults(func=_cmd_isets)
 
     s = sub.add_parser("attack", help="produce an adversarial edge set")

@@ -90,8 +90,6 @@ def dsatur(g: Graph) -> Coloring:
     list for its maximum.
     """
     n = g.n
-    if n == 0:
-        return Coloring((), 0)
     rows = g.rows
     colors: list[int] = [-1] * n
     neigh_colors: list[set[int]] = [set() for _ in range(n)]
@@ -110,7 +108,7 @@ def dsatur(g: Graph) -> Coloring:
                 if c not in neigh_colors[w]:
                     neigh_colors[w].add(c)
                     score[w] += sat_step
-    return Coloring(tuple(colors), max(colors) + 1)
+    return Coloring(tuple(colors), max(colors, default=-1) + 1)
 
 
 def degeneracy_order(g: Graph) -> tuple[list[int], int]:
@@ -198,12 +196,9 @@ class _BudgetSpent(Exception):
 
 def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring]:
     """find_coloring's search; with a budget, _BudgetSpent once the search
-    enters more than `budget` nodes (calls of its recursion)."""
+    enters more than `budget` nodes (calls of its recursion). A call counts
+    its first node even on an empty graph, so a budget below 1 always trips."""
     n = g.n
-    if n == 0:
-        return Coloring((), 0)
-    if k <= 0:
-        return None
     rows = g.rows
     nbrs: list = [None] * n  # neighbour lists, each built when first needed
     score = [rows[u].bit_count() * n + (n - 1 - u) for u in range(n)]
@@ -252,10 +247,11 @@ def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring
     if not solve(n, -1):
         return None
     # a vertex opens only color max_used + 1, so the colors used are 0..max
-    return Coloring(tuple(colors), max(colors) + 1)
+    return Coloring(tuple(colors), max(colors, default=-1) + 1)
 
 
-# Most vertices chromatic_exact takes by default, and either resilience oracle
+# Most vertices chromatic_exact takes by default (the default of `chromres color
+# --exact-limit` and of a config's exact_limit too), and either resilience oracle
 _EXACT_LIMIT = 40
 # Search nodes chromatic_exact's exact try at one k may enter before the
 # local search takes over, and TabuCol moves per vertex before the exact
@@ -365,10 +361,8 @@ def chromatic_exact(g: Graph, limit: int = _EXACT_LIMIT) -> int:
     """
     _count("limit", limit)
     _within_exact_limit(g.n, limit)
-    if g.n == 0:
-        return 0
     start = dsatur(g)
-    for k in range(max(1, greedy_clique(g)), start.num_colors):
+    for k in range(greedy_clique(g), start.num_colors):
         try:
             found = _search(g, k, _EXACT_TRY_NODES)
         except _BudgetSpent:
@@ -477,12 +471,11 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         raise ValueError("profile lacks k0/k; compute it for np > 1 and a reachable theta")
     if profile.n != base.n:
         raise ValueError("profile was computed for a different n")
-    added.check_range(base.n)
     n, p, theta = base.n, profile.p, profile.theta
     full = union(base, added)
     threshold = (n / (math.log(n) ** 2) if knobs.variant == "local"
                  else epsilon * n / (16.0 * math.log(n * p)))
-    i0 = max(0, math.ceil(math.log2(n / threshold))) if threshold < n else 0
+    i0 = math.ceil(math.log2(max(1.0, n / threshold)))  # 0 unless threshold < n
     buckets = [0] * i0
     flags: list[str] = []
     rounds: list[tuple[int, int, str, int, int]] = []
@@ -571,8 +564,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         for v in final:
             colors[v] = next_color
         next_color += 1
-        if i0 > 0:
-            buckets[_bucket_index(n, s, i0) - 1] += 1
+        buckets[_bucket_index(n, s, i0) - 1] += 1
         rounds.append((s, k_target, route, len(final), planted))
         remaining &= ~mask_of(final)
 

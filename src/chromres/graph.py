@@ -205,6 +205,8 @@ class Graph:
                 for v in _members(full & -(2 << u) & ~row)]  # above u, not adjacent
 
     def validate(self) -> None:
+        if len(self.rows) != self.n:
+            raise ValueError(f"{len(self.rows)} rows for n={self.n}")
         for u in range(self.n):
             if (self.rows[u] >> u) & 1:
                 raise ValueError(f"self-loop at {u}")

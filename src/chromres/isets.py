@@ -144,8 +144,6 @@ def max_independent_set(g: Graph, limit: int = 120,
     size = top.bit_count()
     if size > limit:
         raise SizeLimitError(f"n={size} exceeds exact-search limit {limit}")
-    if size == 0:
-        return ()
     rows, n = g.rows, g.n
     degree = {v: (rows[v] & top).bit_count() for v in _members(top)}
 
@@ -207,7 +205,7 @@ def max_independent_set(g: Graph, limit: int = 120,
         expand((1 << size) - 1)
         return best
 
-    greedy = list(turan_extract(g, top))  # never empty for size >= 1
+    greedy = list(turan_extract(g, top))
     alpha = len(walk(sorted(degree, key=lambda v: (degree[v], v)), greedy, len(greedy)))
     best = greedy
     if alpha > len(greedy):

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import analytics
 from .adversary import bounded_degree_h, plant_clique, random_budget
-from .coloring import StripKnobs, chromatic_exact, dsatur, strip_color, verify_coloring
+from .coloring import (_EXACT_LIMIT, StripKnobs, chromatic_exact, dsatur, strip_color,
+                       verify_coloring)
 from .graph import (EdgeSet, Graph, GnpParams, _count, _edges_inside, _real, generate_gnp,
                     mask_of, union)
 from .isets import enumerate_isets, uniform_family
@@ -241,7 +242,7 @@ class ExperimentConfig:
     strategy_params: tuple[tuple[str, float], ...] = ()
     epsilon: float = 1.0
     theta: float = 1.0
-    exact_limit: int = 40
+    exact_limit: int = _EXACT_LIMIT
     knobs: StripKnobs = field(default_factory=StripKnobs)
     csv_path: Optional[str] = None
     json_path: Optional[str] = None
@@ -295,8 +296,7 @@ def _strategy_plant_clique(g: Graph, params: dict, seed: int) -> EdgeSet:
         # default: the doubling construction, a clique on n/log_b(np) vertices;
         # none where np <= 1, since log_b(np) is then not positive
         p = params.get("p", 0.5)
-        b = 1.0 / (1.0 - p)
-        t = math.ceil(g.n / (math.log(g.n * p) / math.log(b))) if g.n * p > 1 else 0
+        t = math.ceil(g.n / analytics.log_b(p, g.n * p)) if g.n * p > 1 else 0
     return plant_clique(g, range(min(t, g.n)))
 
 
@@ -477,8 +477,5 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ValueError("unknown key")
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
-    if knobs:
-        fields["knobs"] = StripKnobs(**knobs)
-    if strat_params:
-        fields["strategy_params"] = tuple(sorted(strat_params.items()))
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(knobs=StripKnobs(**knobs),
+                            strategy_params=tuple(sorted(strat_params.items())), **fields)

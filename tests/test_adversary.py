@@ -84,6 +84,11 @@ class TestBoundedDegree:
         e, max_deg = bounded_degree_h(10, 0, 3)
         assert e.m == 0 and max_deg == 0
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_delta_on_one_or_two_vertices(self, n):
+        for seed in range(3):
+            assert bounded_degree_h(n, 0, seed) == (EdgeSet(frozenset()), 0)
+
     def test_full_cap_never_violated(self):
         e, max_deg = bounded_degree_h(8, 7, 1)
         assert max_deg <= 7

@@ -84,6 +84,9 @@ class TestChromaticExact:
         with pytest.raises(SizeLimitError):
             chromatic_exact(Graph.empty(50), limit=40)
 
+    def test_no_vertices(self):
+        assert chromatic_exact(Graph.empty(0)) == 0
+
 
 class TestFindColoring:
     def test_below_chromatic_is_none(self):
@@ -94,6 +97,10 @@ class TestFindColoring:
         c = find_coloring(Graph.cycle(5), 3)
         assert c is not None and verify_coloring(Graph.cycle(5), c)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_no_vertices(self, k):
+        assert find_coloring(Graph.empty(0), k) == Coloring((), 0)
+
 
 class TestDsatur:
     def test_empty_graph_one_color(self):
@@ -102,6 +109,9 @@ class TestDsatur:
 
     def test_complete(self):
         assert dsatur(Graph.complete(5)).num_colors == 5
+
+    def test_no_vertices(self):
+        assert dsatur(Graph.empty(0)) == Coloring((), 0)
 
     def test_c5_exact(self):
         c = dsatur(Graph.cycle(5))
@@ -125,6 +135,9 @@ class TestDegeneracyColor:
     def test_complete(self):
         c, degeneracy = degeneracy_color(Graph.complete(5))
         assert degeneracy == 4 and c.num_colors == 5
+
+    def test_no_vertices(self):
+        assert degeneracy_color(Graph.empty(0)) == (Coloring((), 0), 0)
 
     def test_c5(self):
         c, degeneracy = degeneracy_color(Graph.cycle(5))
@@ -249,6 +262,22 @@ class TestStripColor:
         profile = build_profile(20, 0.5, 1.0)
         with pytest.raises(ValueError):
             strip_color(Graph.empty(10), NO_EDGES, 1.0, profile)
+
+    def test_added_pair_out_of_range(self):
+        profile = build_profile(20, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"pair \(3,20\) out of range for n=20"):
+            strip_color(gnp(20, 0.5, 1), EdgeSet.from_pairs([(3, 20)]), 1.0, profile)
+
+    # threshold eps * 20 / (16 log 10): 54.3 at eps = 100, and infinite at
+    # 1e308, where eps * n overflows
+    @pytest.mark.parametrize("epsilon", [100.0, 1e308])
+    def test_threshold_above_n_leaves_everything_to_the_residue(self, epsilon):
+        base = gnp(20, 0.5, 0)
+        coloring, trace = strip_color(base, NO_EDGES, epsilon, build_profile(20, 0.5, 1.0))
+        assert trace.residual_threshold > 20
+        assert trace.i0 == 0 and trace.bucket_counts == () and trace.rounds == ()
+        assert trace.residual_colors == coloring.num_colors
+        assert coloring == degeneracy_color(base)[0]
 
     def test_greedy_fallback_flagged(self):
         base = gnp(60, 0.5, 2)

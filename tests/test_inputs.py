@@ -12,6 +12,7 @@ a failure reproduces.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -36,6 +37,7 @@ from chromres import (
     find_coloring,
     generate_gnp,
     global_resilience_witness,
+    local_resilience_oracle,
     local_resilience_witness,
     max_independent_set,
     parse_config,
@@ -48,6 +50,8 @@ from chromres import (
     tail_bounds,
     uniform_family,
 )
+from chromres import adversary, coloring, isets
+from chromres.cli import build_parser
 from chromres.graph import _MAX_VERTICES
 
 G = generate_gnp(GnpParams(12, 0.5, 3))
@@ -204,6 +208,17 @@ def test_valid_edges_of_the_contract_pass():
     assert bounded_degree_h(10, 0, 0) == (NO_EDGES, 0)
     assert GnpParams(_MAX_VERTICES, 0.5).n == _MAX_VERTICES
     assert enumerate_isets(G, 1, limit=12, node_budget=13).k == 1
+
+
+def test_defaults_read_the_search_guards():
+    parser = build_parser()
+    assert parser.parse_args(["color", "g.txt"]).exact_limit == coloring._EXACT_LIMIT
+    assert parser.parse_args(["isets", "g.txt", "--k", "2"]).limit == isets._SET_LIMIT
+    assert _config().exact_limit == coloring._EXACT_LIMIT
+    for entry in (local_resilience_witness, local_resilience_oracle):
+        params = inspect.signature(entry).parameters
+        assert params["size_limit"].default == adversary._LOCAL_SIZE_LIMIT
+        assert params["node_budget"].default == adversary._LOCAL_NODE_BUDGET
 
 
 # Tokens int() rejects, or integers outside every graph's range

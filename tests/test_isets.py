@@ -75,6 +75,10 @@ class TestMaxIndependentSet:
         with pytest.raises(SizeLimitError):
             max_independent_set(Graph.empty(10), limit=9)
 
+    def test_no_vertices(self):
+        assert max_independent_set(Graph.empty(0)) == ()
+        assert max_independent_set(gnp(10, 0.5, 1), within=0) == ()
+
     def test_deterministic(self):
         g = gnp(40, 0.5, 77)
         assert max_independent_set(g) == max_independent_set(g)

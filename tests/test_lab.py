@@ -193,6 +193,15 @@ class TestExperiment:
         assert config.params_dict() == {"m": 5.0}
         assert config.knobs.family_size_limit == 40
 
+    @pytest.mark.parametrize("extra", ["", "knobs.variant=global\nknobs.node_budget=2000000\n"],
+                             ids=["no-lines", "default-lines"])
+    def test_config_without_knobs_or_strategy_params_hashes_as_the_defaults(self, extra):
+        parsed = parse_config("n=20\np=0.5\nseeds=1\n" + extra)
+        built = ExperimentConfig(n_list=(20,), p_list=(0.5,), seeds=(1,),
+                                 strategy_params=(), knobs=StripKnobs())
+        assert parsed == built
+        assert parsed.config_hash() == built.config_hash()
+
     def test_parse_config_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_config("n=10\np=0.5\nseeds=1\nwat=4\n")
