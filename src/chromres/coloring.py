@@ -432,6 +432,21 @@ def _bucket_index(n: int, s: int, i0: int) -> int:
     return min(max(i, 1), i0)
 
 
+def _indexed(sets: np.ndarray, alive: np.ndarray,
+             added_uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sets, keys, marked): the pair index of a family `sets` of labels
+    enumerated on the remainder S0 that the bool array `alive` holds. With
+    the s0 vertices of S0 numbered 0.. in ascending label order, keys holds
+    each row's pairs as i * s0 + j (isets._pair_keys), and marked is a bool
+    table over the s0 * s0 keys that sets the pairs of added_uv inside S0."""
+    rank = np.cumsum(alive) - 1  # a member label's position in S0
+    s0 = int(rank[-1]) + 1
+    uv = rank[added_uv[alive[added_uv].all(axis=1)]]
+    marked = np.zeros(s0 * s0, dtype=bool)
+    marked[uv[:, 0] * s0 + uv[:, 1]] = True
+    return sets, _pair_keys(rank[sets], s0), marked
+
+
 def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                 profile: AnalyticProfile,
                 knobs: StripKnobs = StripKnobs()) -> tuple[Coloring, ColoringTrace]:
@@ -452,9 +467,12 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     S is held as a bitmask over the original vertex labels and every search,
     the residue's coloring included, runs on that mask of base or of the
-    union, never on a relabelled copy. Families are arrays of sets, and the
-    added pairs become keys once per call. A later
-    step at the size of the last enumerated family filters it to S
+    union, never on a relabelled copy. Families are arrays of sets. Each
+    enumeration builds the family's pair index once (_indexed): its pairs as
+    keys i * s0 + j of positions in the remainder S0 it ran on, and a table
+    of the added pairs inside S0. A round counts, caps and picks on those
+    keys without a sort. A later step at the size of the last enumerated
+    family filters it and its keys to S with one row mask
     (isets._restricted), which gives the fresh enumeration's sets, order and
     limit trips; a step at another size, or after a blown budget, enumerates.
 
@@ -480,7 +498,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     flags: list[str] = []
     rounds: list[tuple[int, int, str, int, int]] = []
     added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
-    added_keys = added_uv[:, 0] * n + added_uv[:, 1]  # ascending
     # the sizing extract's picks; no mask of at most _WIDE_PICK members uses it
     words = _words(_bits(base.rows, ((n + 63) >> 6) << 3)) if n > isets._WIDE_PICK else None
 
@@ -494,10 +511,10 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     # skipped step could have tripped a limit either.
     alpha_bound = n
     # The family of the last step that enumerated or filtered without error,
-    # an (m, k) array of labels. A later step at its k filters it to the
-    # remainder (isets._restricted) instead of enumerating: S only shrinks,
-    # so that equals a fresh enumeration and trips no limit one would.
-    cached: Optional[np.ndarray] = None
+    # with its pair index (see _indexed). A later step at its k filters it to
+    # the remainder (isets._restricted) instead of enumerating: S only
+    # shrinks, so that equals a fresh enumeration and trips no limit one would.
+    cached: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     while remaining and (s := remaining.bit_count()) > threshold:
         family_round = s <= knobs.family_size_limit
@@ -517,12 +534,14 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
             alive = _bits([remaining], (n + 7) >> 3)[0]
             k_try = min(k_target, alpha_bound)
             while k_try >= 2:
-                if cached is not None and cached.shape[1] == k_try:
-                    cached = _restricted(cached, alive)
+                if cached is not None and cached[0].shape[1] == k_try:
+                    sets, keys, marked = cached
+                    rows = _restricted(sets, alive)
+                    cached = sets[rows], keys[rows], marked
                 else:
                     try:
-                        cached = _enumerate_sets(base.rows, remaining, k_try,
-                                                 node_budget=knobs.node_budget)
+                        sets = _enumerate_sets(base.rows, remaining, k_try,
+                                               node_budget=knobs.node_budget)
                     except EnumerationLimitError:
                         flags.append(f"enumeration-budget@s={s}")
                         if s <= _EXACT_ALPHA_LIMIT:
@@ -532,7 +551,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                             route = "exact-alpha"
                             flags.append(f"exact-alpha-fallback@s={s}")
                         break
-                if len(cached):
+                    cached = _indexed(sets, alive, added_uv)
+                if len(cached[0]):
                     fam = cached
                     break
                 k_try -= 1
@@ -540,15 +560,15 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
             if fam is not None:
                 _, log_mu0 = expected_counts(s, p, k_try)
                 cap = CAP_MULTIPLIER * math.exp(log_mu0)
-                keys = _pair_keys(fam, n)
+                sets, keys, marked = fam
                 kept, _ = _capped(keys, cap)
                 route = "family" if kept.any() else "enum"
                 if route == "family":
-                    fam, keys = fam[kept], keys[kept]
+                    sets, keys = sets[kept], keys[kept]
                 # the averaging bound counts only the added pairs inside S
-                inside = added_keys[alive[added_uv[:, 0]] & alive[added_uv[:, 1]]]
-                row, _ = _sparsest(keys, inside, cap if route == "family" else None)
-                chosen = tuple(fam[row].tolist())
+                inside = int(alive[added_uv].all(axis=1).sum())
+                row, _ = _sparsest(keys, marked, inside, cap if route == "family" else None)
+                chosen = tuple(sets[row].tolist())
         if route == "greedy":
             flags.append(f"greedy-fallback@s={s}")
             if chosen is None:

@@ -139,8 +139,9 @@ class Graph:
     """Immutable simple graph on vertices 0..n-1.
 
     rows[i] is the neighbor bitmask of vertex i; edge_count is the number of
-    true unordered pairs. Symmetry and loop-freeness are construction
-    invariants (see validate()).
+    true unordered pairs. Construction raises ValueError for a negative n or
+    a rows tuple whose length is not n. Symmetry and loop-freeness are
+    invariants the builders keep; validate() checks them.
     """
 
     n: int
@@ -150,6 +151,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
+        if len(self.rows) != self.n:
+            raise ValueError(f"{len(self.rows)} rows for n={self.n}")
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -205,8 +208,6 @@ class Graph:
                 for v in _members(full & -(2 << u) & ~row)]  # above u, not adjacent
 
     def validate(self) -> None:
-        if len(self.rows) != self.n:
-            raise ValueError(f"{len(self.rows)} rows for n={self.n}")
         for u in range(self.n):
             if (self.rows[u] >> u) & 1:
                 raise ValueError(f"self-loop at {u}")

@@ -36,9 +36,14 @@ uses the matrix; turan_extract, the union refinement, the degeneracy coloring
 and the maximum independent set's start scan.
 
 A family is one (m, k) array of labels, a set per row, from enumeration
-through stripping; coverage, the cap and the sparse pick run on its pairs as
-int64 keys u * n + v. The public functions wrap these helpers and alone
-build tuples and the coverage dict.
+through stripping. The cap and the sparse pick run on a pair index, each
+row's pairs as integers >= 0 that no other pair shares: the cap counts them
+with one bincount, the pick looks them up in a bool table of marked pairs,
+and neither sorts. strip_color keys a family's pairs by position in the
+remainder it was enumerated on, once per enumeration; uniform_family and
+sparse_iset number their distinct pairs with one np.unique. The public
+functions wrap these helpers and alone build tuples and the coverage dict,
+whose pairs _coverage reads from int64 label keys u * n + v.
 """
 
 from __future__ import annotations
@@ -331,26 +336,29 @@ def _coverage(keys: np.ndarray, n: int) -> dict[tuple[int, int], int]:
 
 
 def _capped(keys: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
-    """(kept, excess): which rows of `keys` hold no pair covered more than
-    cap times, and the coverage mass of the pairs that are; the kept rows'
-    coverage is checked against the cap."""
+    """(kept, excess): which rows of `keys`, an array of pair indices (each
+    pair a distinct integer >= 0), hold no pair covered more than cap times,
+    and the coverage mass of the pairs that are; the kept rows' coverage is
+    checked against the cap."""
     _real("cap", cap, zero=True)
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(keys.shape)
-    kept = ~(counts > cap)[inverse].any(axis=1)
-    if (np.bincount(inverse[kept].ravel(), minlength=len(uniq)) > cap).any():
+    counts = np.bincount(keys.ravel())
+    over = counts > cap
+    kept = ~over[keys].any(axis=1)
+    if (np.bincount(keys[kept].ravel()) > cap).any():
         raise AssertionError(f"capped family still covers a pair more than {cap} times")
-    return kept, int(counts[counts > cap].sum())
+    return kept, int(counts[over].sum())
 
 
-def _sparsest(keys: np.ndarray, e_keys: np.ndarray, cap: Optional[float]) -> tuple[int, int]:
-    """(row, count): the first row of `keys` holding the fewest of the
-    sorted, distinct pair keys e_keys, and that number. When cap is set, the
-    averaging bound count <= ceil(cap * |e_keys| / rows) is checked."""
-    counts = (np.searchsorted(e_keys, keys, "right") - np.searchsorted(e_keys, keys)).sum(axis=1)
+def _sparsest(keys: np.ndarray, marked: np.ndarray, pairs: int,
+              cap: Optional[float]) -> tuple[int, int]:
+    """(row, count): the first row of `keys`, an array of pair indices,
+    holding the fewest pairs that the bool table `marked` sets, and that
+    number. When cap is set, the averaging bound
+    count <= ceil(cap * pairs / rows) is checked."""
+    counts = marked[keys].sum(axis=1)
     row = int(np.argmin(counts))
     count = int(counts[row])
-    if cap is not None and count > (bound := math.ceil(cap * len(e_keys) / len(keys))):
+    if cap is not None and count > (bound := math.ceil(cap * pairs / len(keys))):
         raise AssertionError(f"sparsest member has {count} pairs, "
                              f"above the averaging bound {bound}")
     return row, count
@@ -523,14 +531,15 @@ def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
 
 
 def _restricted(sets: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """The rows of `sets` inside `alive`, a bool array over the labels.
+    """Which rows of `sets` lie inside `alive`, a bool array over the labels,
+    as a bool row mask that also filters anything indexed like the rows.
 
-    If sets is _enumerate_sets(rows, S, k) and alive a subset S' of S, this
-    is _enumerate_sets(rows, S', k): a k-set of S' is one of S, filtering
-    keeps the order, and the DFS tree on S' is a subtree of the one on S (a
-    node's candidates on S' are a subset of its candidates on S), so no
-    limit trips on S' that did not on S."""
-    return sets[alive[sets].all(axis=1)]
+    If sets is _enumerate_sets(rows, S, k) and alive a subset S' of S, its
+    rows are _enumerate_sets(rows, S', k): a k-set of S' is one of S,
+    filtering keeps the order, and the DFS tree on S' is a subtree of the
+    one on S (a node's candidates on S' are a subset of its candidates on
+    S), so no limit trips on S' that did not on S."""
+    return alive[sets].all(axis=1)
 
 
 def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
@@ -548,7 +557,8 @@ def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
     sets = np.array(family.sets, dtype=np.int64).reshape(len(family), family.k)
     n = int(sets.max(initial=0)) + 1
     keys = _pair_keys(sets, n)
-    kept, excess = _capped(keys, cap)
+    # each pair as its index among the distinct pairs, so no count grows with the labels
+    kept, excess = _capped(np.unique(keys, return_inverse=True)[1].reshape(keys.shape), cap)
     return IsetFamily(
         k=family.k,
         sets=tuple(s for s, keep in zip(family.sets, kept.tolist()) if keep),
@@ -572,5 +582,11 @@ def sparse_iset(family: IsetFamily, e: EdgeSet) -> tuple[tuple[int, ...], int]:
     sets = np.sort(np.array(family.sets, dtype=np.int64), axis=1)
     pairs = np.array(sorted(e.pairs), dtype=np.int64).reshape(e.m, 2)
     n = int(max(sets.max(), pairs.max(initial=0))) + 1
-    row, count = _sparsest(_pair_keys(sets, n), pairs[:, 0] * n + pairs[:, 1], family.cap)
+    keys = _pair_keys(sets, n)
+    # the family's pairs and e's, each as its index among their distinct pairs
+    distinct, index = np.unique(np.concatenate([keys.ravel(), pairs[:, 0] * n + pairs[:, 1]]),
+                                return_inverse=True)
+    marked = np.zeros(len(distinct), dtype=bool)
+    marked[index[keys.size:]] = True
+    row, count = _sparsest(index[:keys.size].reshape(keys.shape), marked, e.m, family.cap)
     return family.sets[row], count

@@ -325,9 +325,9 @@ def test_ladder_starts_at_proven_alpha_bound(monkeypatch):
         return sets
 
     def restricted_spy(sets, alive):
-        kept = real_restricted(sets, alive)
-        calls.append((int(alive.sum()), kept.shape[1], len(kept)))
-        return kept
+        rows = real_restricted(sets, alive)
+        calls.append((int(alive.sum()), sets.shape[1], int(rows.sum())))
+        return rows
 
     monkeypatch.setattr(coloring_module, "_enumerate_sets", spy)
     monkeypatch.setattr(coloring_module, "_restricted", restricted_spy)

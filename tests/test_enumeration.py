@@ -249,7 +249,7 @@ def test_restriction_equals_fresh_enumeration(seed):
         assert tuple(map(tuple, sets.tolist())) == enumerate_isets(g, k, within=chain[0]).sets
         budget = _smallest_budget(g, k, chain[0])
         for within in chain[1:]:
-            sets = isets._restricted(sets, np.array([(within >> v) & 1 for v in range(n)], bool))
+            sets = sets[isets._restricted(sets, np.array([(within >> v) & 1 for v in range(n)], bool))]
             fresh = enumerate_isets(g, k, within=within)
             assert sets.shape[1] == k
             assert tuple(map(tuple, sets.tolist())) == fresh.sets

@@ -312,8 +312,6 @@ def test_negative_vertex_count_rejected(build):
     ((0b1000, 0, 0), 0, "row 0 has bits beyond n=3"),
     ((0b010, 0, 0), 0, "asymmetric pair \\(0,1\\)"),
     ((0b010, 0b101, 0b010), 3, "edge_count 3 != recount 2"),
-    ((0, 0, 0, 0), 0, "4 rows for n=3"),
-    ((0,), 0, "1 rows for n=3"),
 ])
 def test_validate_names_the_broken_invariant(rows, count, message):
     g = Graph(3, rows, count)
@@ -322,3 +320,12 @@ def test_validate_names_the_broken_invariant(rows, count, message):
     else:
         with pytest.raises(ValueError, match=message):
             g.validate()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((0, 0, 0, 0), "4 rows for n=3"),
+    ((0,), "1 rows for n=3"),
+])
+def test_construction_checks_the_row_count(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, rows, 0)

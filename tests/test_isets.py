@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -12,6 +14,7 @@ from chromres import (
     EnumerationLimitError,
     GnpParams,
     Graph,
+    IsetFamily,
     SizeLimitError,
     enumerate_isets,
     generate_gnp,
@@ -23,9 +26,11 @@ from chromres import (
     uniform_family,
 )
 from chromres import isets
-from chromres.graph import _bits, _words
+from chromres.graph import _MAX_VERTICES, _bits, _words
 from chromres.isets import _turan, min_degree_vertex
-from conftest import _greedy_strip_reference, brute_alpha, is_independent_reference, petersen, run_python
+from conftest import (_greedy_strip_reference, brute_alpha, coverage_reference,
+                      is_independent_reference, petersen, run_python, sparse_iset_reference,
+                      uniform_family_reference)
 
 
 def gnp(n, p, seed):
@@ -236,6 +241,37 @@ class TestUniformFamily:
             # excess mass recounts pre-deletion coverage above the cap
             assert capped.excess_mass == sum(
                 c for c in total.coverage.values() if c > 2)
+
+
+def test_family_layer_on_labels_near_the_vertex_limit():
+    # a family by hand whose labels reach the largest a graph may have: the
+    # pair index of uniform_family and sparse_iset is sized by the family's
+    # own pairs, never by its largest label
+    rng = random.Random(0)
+    labels = sorted(rng.sample(range(_MAX_VERTICES - 1), 11) + [_MAX_VERTICES - 1])
+    sets = sorted(rng.sample(list(combinations(labels, 3)), 60))
+    family = IsetFamily(3, tuple(sets), coverage_reference(sets))
+    e = EdgeSet.from_pairs(rng.sample(list(combinations(labels, 2)), 20))
+
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            out = call(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for cap in sorted(set(family.coverage.values()) | {0}):
+        capped, used = peak(uniform_family, family, cap)
+        assert capped == uniform_family_reference(family, cap)
+        assert list(capped.coverage.items()) == \
+            list(uniform_family_reference(family, cap).coverage.items())
+        assert used < 1 << 20
+        for fam in (family, capped):
+            if fam.sets:
+                chosen, used = peak(sparse_iset, fam, e)
+                assert chosen == sparse_iset_reference(fam, e)
+                assert used < 1 << 20
 
 
 class TestSparseIset:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import glob
 import os
+import re
 import shlex
 from dataclasses import fields
 
@@ -252,6 +253,40 @@ def test_strip_color_reads_added_pairs_once():
     inside = [line for loop in loops for line in reads(loop)]
     assert not inside, f"added.pairs read inside the round loop at lines {inside}"
     assert reads(fn), "strip_color no longer reads added.pairs at all"
+
+
+def test_cap_and_pick_do_not_sort():
+    """isets._capped counts a family's pair index with a bincount and
+    isets._sparsest looks it up in a table: a sort in either is paid every
+    stripping round."""
+    path = os.path.join(SRC, "chromres", "isets.py")
+    for name in ("_capped", "_sparsest"):
+        called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                  for node in ast.walk(_function(path, name)) if isinstance(node, ast.Call)
+                  and isinstance(node.func, (ast.Name, ast.Attribute))}
+        sorts = called & {"unique", "searchsorted", "sort", "argsort", "sorted"}
+        assert not sorts, f"{name} calls {sorted(sorts)}"
+
+
+def test_numpy_floor_admits_bitwise_count():
+    """The package calls np.bitwise_count, which NumPy added in 2.0: the
+    floor declared in pyproject.toml, and named on README's install line,
+    must not admit an older numpy."""
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as f:
+        floor = re.search(r'"numpy>=([0-9.]+)"', f.read())
+    assert floor, "pyproject.toml declares no numpy>= floor"
+    calls = []
+    for path in sorted(glob.glob(os.path.join(SRC, "chromres", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            if "bitwise_count" in f.read():
+                calls.append(path)
+    if calls:
+        version = tuple(int(part) for part in floor.group(1).split("."))
+        assert version >= (2, 0), f"numpy>={floor.group(1)} admits a numpy without " \
+            f"bitwise_count, which {[os.path.basename(p) for p in calls]} call"
+    with open(README, encoding="utf-8") as f:
+        install = next(line for line in f if line.startswith("pip install -e . "))
+    assert f"numpy >= {floor.group(1)}" in install
 
 
 def test_isets_does_not_import_combinations():
