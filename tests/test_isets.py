@@ -263,14 +263,14 @@ def test_family_layer_on_labels_near_the_vertex_limit():
 
     for cap in sorted(set(family.coverage.values()) | {0}):
         capped, used = peak(uniform_family, family, cap)
-        assert capped == uniform_family_reference(family, cap)
-        assert list(capped.coverage.items()) == \
-            list(uniform_family_reference(family, cap).coverage.items())
+        ref = uniform_family_reference(family, cap)
+        assert capped == ref
+        assert list(capped.coverage.items()) == list(ref.coverage.items())
         assert used < 1 << 20
         for fam in (family, capped):
             if fam.sets:
-                chosen, used = peak(sparse_iset, fam, e)
-                assert chosen == sparse_iset_reference(fam, e)
+                pick, used = peak(sparse_iset, fam, e)
+                assert pick == sparse_iset_reference(fam, e)
                 assert used < 1 << 20
 
 
