@@ -33,7 +33,8 @@ def plant_clique(g: Graph, target_vertices: Iterable[int]) -> EdgeSet:
     """Every pair inside target_vertices that g is missing."""
     targets = sorted(set(target_vertices))
     _labels(targets, g.n)
-    pairs = [(u, v) for u, v in combinations(targets, 2) if not g.has_edge(u, v)]
+    rows = g.rows
+    pairs = [(u, v) for u, v in combinations(targets, 2) if not rows[u] >> v & 1]
     return EdgeSet.from_pairs(pairs)
 
 

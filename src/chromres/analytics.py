@@ -18,13 +18,6 @@ from .graph import RegimeWarning, _count, _real
 CAP_MULTIPLIER = 4.0
 
 
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k), exact combinatorics then one correctly-rounded log."""
-    if not 0 <= k <= n:
-        return float("-inf")
-    return math.log(math.comb(n, k))
-
-
 def compute_k0(n: int, p: float, theta: float = 1.0) -> Optional[int]:
     """Largest k in [1, n] whose expected independent-set count is >= theta.
 
@@ -64,14 +57,18 @@ def expected_counts(n: int, p: float, k0: int) -> tuple[float, float]:
 
     mu  = C(n, k0)   * (1-p)^C(k0, 2)
     mu0 = C(n-2, k0-2) * (1-p)^C(k0, 2)
-    so mu0/mu = k0(k0-1) / (n(n-1)) exactly.
+    so mu0/mu = k0(k0-1) / (n(n-1)) exactly. Each binomial is exact, then
+    rounded once by its log. ValueError unless n is a count, 0 < p < 1 and
+    k0 is a count with 2 <= k0 <= n.
     """
+    _count("n", n)
+    _real("p", p, 1.0)
     _count("k0", k0, 2)
     if k0 > n:
         raise ValueError("k0 must be <= n")
     log_weight = (k0 * (k0 - 1) // 2) * math.log1p(-p)
-    return (log_binomial(n, k0) + log_weight,
-            log_binomial(n - 2, k0 - 2) + log_weight)
+    return (math.log(math.comb(n, k0)) + log_weight,
+            math.log(math.comb(n - 2, k0 - 2)) + log_weight)
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,11 @@ def working_k(n: int, p: float) -> Optional[int]:
     """Stripped-set size max(2, round(2 log_b(np / log^3 n))); None if np <= 1.
 
     At desk scale the inner ratio is usually < 1 and the clamp bites; the
-    stripping procedure treats this value as a lower bound only.
+    stripping procedure treats this value as a lower bound only. ValueError
+    unless n is a count and 0 < p < 1.
     """
+    _count("n", n)
+    _real("p", p, 1.0)
     np_ = n * p
     if np_ <= 1.0:
         return None
@@ -152,14 +152,11 @@ def build_profile(n: int, p: float, theta: float = 1.0) -> AnalyticProfile:
             RegimeWarning,
             stacklevel=2,
         )
-    np_ = n * p
-    chi_pred = None
-    if np_ > 1.0:
-        chi_pred = n / (2.0 * log_b(p, np_))
+    chi_pred, k = predicted_chromatic(n, p, 0.0)
     return AnalyticProfile(
         n=n, p=p, theta=theta, b=1.0 / (1.0 - p), k0=k0,
         log_mu=log_mu, log_mu0=log_mu0,
-        k=working_k(n, p), chi_predicted=chi_pred,
+        k=k, chi_predicted=chi_pred,
     )
 
 
@@ -201,9 +198,10 @@ def predicted_chromatic(n: int, p: float, epsilon: float) -> tuple[Optional[floa
     """(target, k) where target = (1+eps) n / (2 log_b(np)).
 
     Both are None when np <= 1: the logarithm degenerates and the prediction
-    is signaled absent rather than thrown. ValueError unless 0 < p < 1 and
-    epsilon >= 0.
+    is signaled absent rather than thrown. ValueError unless n is a count,
+    0 < p < 1 and epsilon >= 0.
     """
+    _count("n", n)
     _real("p", p, 1.0)
     _real("epsilon", epsilon, zero=True)
     np_ = n * p

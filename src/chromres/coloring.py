@@ -14,7 +14,9 @@ pick is one C-level scan of a list for its maximum. strip_color builds a
 proper coloring of base+added by repeatedly pulling a nearly-maximal
 independent set of the base graph that contains few added pairs, refining
 it to an independent set of the union, and spending one color on it; the
-small residue is finished with the degeneracy coloring.
+small residue is finished with the degeneracy coloring. A family's pair
+index, which its cap and sparse pick read, is built in isets (_indexed):
+this module handles the index but never computes a pair key.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .isets import (
     SizeLimitError,
     _capped,
     _enumerate_sets,
-    _pair_keys,
+    _indexed,
     _restricted,
     _sparsest,
     _turan,
@@ -113,19 +115,7 @@ def dsatur(g: Graph) -> Coloring:
 
 def degeneracy_order(g: Graph) -> tuple[list[int], int]:
     """Smallest-last ordering and the degeneracy (max degree at removal)."""
-    return _smallest_last(g.rows, (1 << g.n) - 1)
-
-
-def _smallest_last(rows: tuple[int, ...], alive: int) -> tuple[list[int], int]:
-    """degeneracy_order of the vertex mask alive: neighbours outside it do
-    not count."""
-    removal: list[int] = []
-    degeneracy = 0
-    while alive:
-        v, d = min_degree_vertex(rows, alive)
-        degeneracy = max(degeneracy, d)
-        removal.append(v)
-        alive &= ~(1 << v)
+    _, _, degeneracy, removal = _degeneracy_colors(g.rows, (1 << g.n) - 1)
     return removal, degeneracy
 
 
@@ -134,17 +124,26 @@ def degeneracy_color(g: Graph) -> tuple[Coloring, int]:
 
     Uses at most degeneracy+1 colors; returns the coloring and the degeneracy.
     """
-    colors, num, degeneracy = _degeneracy_colors(g.rows, (1 << g.n) - 1)
+    colors, num, degeneracy, _ = _degeneracy_colors(g.rows, (1 << g.n) - 1)
     return Coloring(tuple(colors), num), degeneracy
 
 
-def _degeneracy_colors(rows: tuple[int, ...], mask: int) -> tuple[list[int], int, int]:
-    """(colors, num, degeneracy): degeneracy_color of the vertex mask, as a
-    color per label (-1 outside the mask) with the number of colors used;
-    neighbours outside the mask block no color. The picks and colors are
-    those of degeneracy_color on the induced subgraph, whose relabelling
-    keeps the label order."""
-    removal, degeneracy = _smallest_last(rows, mask)
+def _degeneracy_colors(rows: tuple[int, ...],
+                       mask: int) -> tuple[list[int], int, int, list[int]]:
+    """(colors, num, degeneracy, removal): degeneracy_color of the vertex
+    mask, as a color per label (-1 outside the mask) with the number of
+    colors used, and the smallest-last removal order; neighbours outside the
+    mask neither count toward a degree nor block a color. The picks and
+    colors are those of degeneracy_color on the induced subgraph, whose
+    relabelling keeps the label order."""
+    removal: list[int] = []
+    degeneracy = 0
+    alive = mask
+    while alive:
+        v, d = min_degree_vertex(rows, alive)
+        degeneracy = max(degeneracy, d)
+        removal.append(v)
+        alive &= ~(1 << v)
     colors = [-1] * len(rows)
     for v in reversed(removal):
         used = {colors[w] for w in _members(rows[v] & mask)}  # -1, uncolored, blocks nothing
@@ -155,7 +154,7 @@ def _degeneracy_colors(rows: tuple[int, ...], mask: int) -> tuple[list[int], int
     num = 1 + max((colors[v] for v in removal), default=-1)
     if num > degeneracy + 1:
         raise AssertionError(f"{num} colors exceed degeneracy + 1 = {degeneracy + 1}")
-    return colors, num, degeneracy
+    return colors, num, degeneracy, removal
 
 
 def greedy_clique(g: Graph) -> int:
@@ -182,8 +181,7 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     index). The choice key is kept packed as one integer per vertex,
     sat*n^2 + degree*n + (n-1-u) with sat the number of distinct neighbour
     colors (-1 once colored), updated and undone with each vertex's bitmask
-    of neighbour colors, so a pick is one scan of a list for its maximum. A
-    vertex's neighbour list is built the first time it is colored.
+    of neighbour colors, so a pick is one scan of a list for its maximum.
     ValueError unless k is a count.
     """
     _count("k", k)
@@ -200,7 +198,7 @@ def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring
     its first node even on an empty graph, so a budget below 1 always trips."""
     n = g.n
     rows = g.rows
-    nbrs: list = [None] * n  # neighbour lists, each built when first needed
+    nbrs = [_members(row) for row in rows]
     score = [rows[u].bit_count() * n + (n - 1 - u) for u in range(n)]
     sat_step = n * n
     colors = [-1] * n
@@ -220,9 +218,6 @@ def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring
         if taken.bit_count() >= k:
             return False
         saved, score[v] = score[v], -1
-        nb = nbrs[v]
-        if nb is None:
-            nb = nbrs[v] = _members(rows[v])
         top = min(k - 1, max_used + 1)
         for c in range(top + 1):
             bit = 1 << c
@@ -230,7 +225,7 @@ def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring
                 continue
             colors[v] = c
             undo: list[int] = []
-            for w in nb:
+            for w in nbrs[v]:
                 if not seen[w] & bit and colors[w] < 0:
                     seen[w] |= bit
                     score[w] += sat_step
@@ -372,10 +367,6 @@ def chromatic_exact(g: Graph, limit: int = _EXACT_LIMIT) -> int:
     return start.num_colors
 
 
-# largest remainder whose blown enumeration falls back to one exact maximum set
-_EXACT_ALPHA_LIMIT = 120
-
-
 @dataclass(frozen=True)
 class StripKnobs:
     """The settings of strip_color.
@@ -432,21 +423,6 @@ def _bucket_index(n: int, s: int, i0: int) -> int:
     return min(max(i, 1), i0)
 
 
-def _indexed(sets: np.ndarray, alive: np.ndarray,
-             added_uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sets, keys, marked): the pair index of a family `sets` of labels
-    enumerated on the remainder S0 that the bool array `alive` holds. With
-    the s0 vertices of S0 numbered 0.. in ascending label order, keys holds
-    each row's pairs as i * s0 + j (isets._pair_keys), and marked is a bool
-    table over the s0 * s0 keys that sets the pairs of added_uv inside S0."""
-    rank = np.cumsum(alive) - 1  # a member label's position in S0
-    s0 = int(rank[-1]) + 1
-    uv = rank[added_uv[alive[added_uv].all(axis=1)]]
-    marked = np.zeros(s0 * s0, dtype=bool)
-    marked[uv[:, 0] * s0 + uv[:, 1]] = True
-    return sets, _pair_keys(rank[sets], s0), marked
-
-
 def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                 profile: AnalyticProfile,
                 knobs: StripKnobs = StripKnobs()) -> tuple[Coloring, ColoringTrace]:
@@ -460,19 +436,20 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     largest union-independent subset via the greedy bound, and spend a fresh
     color on it. Rounds whose remainder exceeds family_size_limit fall back
     to the greedy route. A round whose enumeration blows node_budget takes
-    one exact maximum independent set when s <= _EXACT_ALPHA_LIMIT and the
-    greedy route otherwise; both are flagged in the trace. The residue is
-    colored by degeneracy_color on its mask of the union. ValueError unless
-    epsilon is positive and finite.
+    one exact maximum independent set when s <= isets._ALPHA_LIMIT (the
+    default limit of max_independent_set) and the greedy route otherwise;
+    both are flagged in the trace. The residue is colored by
+    degeneracy_color on its mask of the union. ValueError unless epsilon is
+    positive and finite.
 
     S is held as a bitmask over the original vertex labels and every search,
     the residue's coloring included, runs on that mask of base or of the
     union, never on a relabelled copy. Families are arrays of sets. Each
-    enumeration builds the family's pair index once (_indexed): its pairs as
-    keys i * s0 + j of positions in the remainder S0 it ran on, and a table
-    of the added pairs inside S0. A round counts, caps and picks on those
-    keys without a sort. A later step at the size of the last enumerated
-    family filters it and its keys to S with one row mask
+    enumeration builds the family's pair index once (isets._indexed): its
+    pairs as keys i * s0 + j of positions in the remainder S0 it ran on, and
+    a table of the added pairs inside S0. A round counts, caps and picks on
+    those keys without a sort. A later step at the size of the last
+    enumerated family filters it and its keys to S with one row mask
     (isets._restricted), which gives the fresh enumeration's sets, order and
     limit trips; a step at another size, or after a blown budget, enumerates.
 
@@ -544,10 +521,9 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                                                node_budget=knobs.node_budget)
                     except EnumerationLimitError:
                         flags.append(f"enumeration-budget@s={s}")
-                        if s <= _EXACT_ALPHA_LIMIT:
+                        if s <= isets._ALPHA_LIMIT:
                             # the family is out of reach but one maximum set is not
-                            chosen = max_independent_set(base, _EXACT_ALPHA_LIMIT,
-                                                         within=remaining)
+                            chosen = max_independent_set(base, within=remaining)
                             route = "exact-alpha"
                             flags.append(f"exact-alpha-fallback@s={s}")
                         break
@@ -588,7 +564,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         rounds.append((s, k_target, route, len(final), planted))
         remaining &= ~mask_of(final)
 
-    residual, residual_colors, _ = _degeneracy_colors(full.rows, remaining)
+    residual, residual_colors, _, _ = _degeneracy_colors(full.rows, remaining)
     for v in _members(remaining):
         colors[v] = next_color + residual[v]
     next_color += residual_colors

@@ -175,26 +175,26 @@ class Graph:
         repeated pairs count once. Raises ValueError on a self-loop or an
         endpoint outside 0..n-1."""
         pairs = [(operator.index(u), operator.index(v)) for u, v in pairs]
-        try:
-            uv = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
-        except OverflowError:  # an endpoint beyond int64 is out of range
-            uv = None
-        if uv is None or not ((uv[:, 0] != uv[:, 1]) & (uv.min(axis=1) >= 0)
-                              & (uv.max(axis=1) < n)).all():
-            for u, v in pairs:  # name the first offending pair
-                u, v = _normalize_pair(u, v)
-                if not 0 <= u < v < n:
-                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        for u, v in pairs:
+            u, v = _normalize_pair(u, v)
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
+        uv = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
         rows, count = _rows_from_pairs(n, [(uv[:, 0], uv[:, 1])])
         return cls(n, rows, count)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """True iff {u, v} is an edge; ValueError for a label outside 0..n-1."""
+        _labels((u, v), self.n)
         return bool((self.rows[u] >> v) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        yield from _members(self.rows[v])
+        """v's neighbours in ascending order; ValueError for a label outside
+        0..n-1, raised at the call."""
+        _labels((v,), self.n)
+        return iter(_members(self.rows[v]))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.rows):

@@ -39,8 +39,9 @@ A family is one (m, k) array of labels, a set per row, from enumeration
 through stripping. The cap and the sparse pick run on a pair index, each
 row's pairs as integers >= 0 that no other pair shares: the cap counts them
 with one bincount, the pick looks them up in a bool table of marked pairs,
-and neither sorts. strip_color keys a family's pairs by position in the
-remainder it was enumerated on, once per enumeration; uniform_family and
+and neither sorts. _indexed builds strip_color's index once per enumeration,
+each pair keyed by its ends' positions in the remainder the family was
+enumerated on, with the table of added pairs inside it; uniform_family and
 sparse_iset number their distinct pairs with one np.unique. The public
 functions wrap these helpers and alone build tuples and the coverage dict,
 whose pairs _coverage reads from int64 label keys u * n + v.
@@ -83,6 +84,10 @@ _WIDE_PICK = 160
 # this size, and a block's temporaries peak at about 1.5 times as many bytes.
 _CHECK_BYTES = 1 << 20
 
+# Most vertices max_independent_set takes by default, and so the largest
+# remainder whose blown enumeration strip_color answers with one maximum set
+_ALPHA_LIMIT = 120
+
 # Sets an enumeration may return before it raises EnumerationLimitError,
 # unless the caller passes another limit.
 _SET_LIMIT = 5_000_000
@@ -114,7 +119,7 @@ def is_independent(g: Graph, vertices) -> bool:
     return not any(rows[v] & mask for v in vs)
 
 
-def max_independent_set(g: Graph, limit: int = 120,
+def max_independent_set(g: Graph, limit: int = _ALPHA_LIMIT,
                         within: Optional[int] = None) -> tuple[int, ...]:
     """Exact maximum independent set of the vertex mask `within` (default:
     all of g) via branch-and-bound: the turan_extract set when that set is
@@ -326,6 +331,21 @@ def _pair_keys(sets: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+def _indexed(sets: np.ndarray, alive: np.ndarray,
+             added_uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sets, keys, marked): the pair index of a family `sets` of labels
+    enumerated on the remainder S0 that the bool array `alive` holds. With
+    the s0 vertices of S0 numbered 0.. in ascending label order, keys holds
+    each row's pairs as i * s0 + j (_pair_keys), and marked is a bool table
+    over the s0 * s0 keys that sets the pairs of added_uv inside S0."""
+    rank = np.cumsum(alive) - 1  # a member label's position in S0
+    s0 = int(rank[-1]) + 1
+    uv = rank[added_uv[alive[added_uv].all(axis=1)]]
+    marked = np.zeros(s0 * s0, dtype=bool)
+    marked[uv[:, 0] * s0 + uv[:, 1]] = True
+    return sets, _pair_keys(rank[sets], s0), marked
+
+
 def _coverage(keys: np.ndarray, n: int) -> dict[tuple[int, int], int]:
     """Pair -> rows of `keys` holding it, in the order a walk of the rows
     first meets each pair."""
@@ -340,7 +360,6 @@ def _capped(keys: np.ndarray, cap: float) -> tuple[np.ndarray, int]:
     pair a distinct integer >= 0), hold no pair covered more than cap times,
     and the coverage mass of the pairs that are; the kept rows' coverage is
     checked against the cap."""
-    _real("cap", cap, zero=True)
     counts = np.bincount(keys.ravel())
     over = counts > cap
     kept = ~over[keys].any(axis=1)
@@ -554,6 +573,7 @@ def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:
     0 <= cap < inf (a NaN cap would delete nothing and label the family NaN,
     and an infinite one would label it with a number JSON cannot hold).
     """
+    _real("cap", cap, zero=True)
     sets = np.array(family.sets, dtype=np.int64).reshape(len(family), family.k)
     n = int(sets.max(initial=0)) + 1
     keys = _pair_keys(sets, n)

@@ -187,9 +187,10 @@ def concentration_sample(n: int, p: float, theta: float, cap_multiplier: float,
     Trial t uses the graph seed derived from (seed, t); the cap is
     cap_multiplier * mu0 from the (n, p, theta) profile; each family is
     enumerated under enumerate_isets' default limit. ValueError unless
-    trials is a count and cap_multiplier is >= 0 and finite.
+    trials and seed are counts and cap_multiplier is >= 0 and finite.
     """
     _count("trials", trials)
+    _count("seed", seed)
     _real("cap_multiplier", cap_multiplier, zero=True)
     profile = analytics.build_profile(n, p, theta)
     if trials == 0:

@@ -329,3 +329,18 @@ def test_validate_names_the_broken_invariant(rows, count, message):
 def test_construction_checks_the_row_count(rows, message):
     with pytest.raises(ValueError, match=message):
         Graph(3, rows, 0)
+
+
+@pytest.mark.parametrize("method, args, label", [
+    ("has_edge", (-1, 1), -1),
+    ("has_edge", (0, 7), 7),
+    ("has_edge", (3, 0), 3),
+    ("neighbors", (-1,), -1),
+    ("neighbors", (3,), 3),
+], ids=["has_edge-wrap", "has_edge-beyond-row", "has_edge-n", "neighbors-wrap", "neighbors-n"])
+def test_adjacency_queries_check_their_labels(method, args, label):
+    # on 3 vertices, -1 would wrap to vertex 2 and 7 read a bit beyond the row;
+    # neighbors raises at the call, before anything iterates it
+    g = Graph.from_edges(3, [(1, 2)])
+    with pytest.raises(ValueError, match=f"^vertex {label} out of range for n=3$"):
+        getattr(g, method)(*args)

@@ -49,6 +49,7 @@ from chromres import (
     strip_color,
     tail_bounds,
     uniform_family,
+    working_k,
 )
 from chromres import adversary, coloring, isets
 from chromres.cli import build_parser
@@ -91,9 +92,14 @@ CASES = {
     "compute_k0.n": ("n", counts_below(), lambda v: compute_k0(v, 0.5)),
     "compute_k0.p": ("p", bad_reals(1.0), lambda v: compute_k0(30, v)),
     "compute_k0.theta": ("theta", bad_reals(), lambda v: compute_k0(30, 0.5, v)),
+    "expected_counts.n": ("n", counts_below(), lambda v: expected_counts(v, 0.5, 3)),
+    "expected_counts.p": ("p", bad_reals(1.0), lambda v: expected_counts(30, v, 3)),
     "expected_counts.k0": ("k0", counts_below(2), lambda v: expected_counts(30, 0.5, v)),
+    "working_k.n": ("n", counts_below(), lambda v: working_k(v, 0.5)),
+    "working_k.p": ("p", bad_reals(1.0), lambda v: working_k(50, v)),
     "tail_bounds.delta": ("delta", bad_reals(1.0),
                           lambda v: tail_bounds(build_profile(40, 0.5), v)),
+    "predicted_chromatic.n": ("n", counts_below(), lambda v: predicted_chromatic(v, 0.5, 1.0)),
     "predicted_chromatic.p": ("p", bad_reals(1.0), lambda v: predicted_chromatic(50, v, 1.0)),
     "predicted_chromatic.epsilon": ("epsilon", bad_reals(zero=True),
                                     lambda v: predicted_chromatic(50, 0.5, v)),
@@ -143,6 +149,8 @@ CASES = {
     "concentration_sample.cap_multiplier": (
         "cap_multiplier", bad_reals(zero=True),
         lambda v: concentration_sample(30, 0.5, 1.0, v, 1, 0)),
+    "concentration_sample.seed": ("seed", counts_below(),
+                                  lambda v: concentration_sample(30, 0.5, 1.0, 4.0, 1, v)),
     "ExperimentConfig.n": ("n", counts_below(1), lambda v: _config(n_list=(v,))),
     "ExperimentConfig.p": ("p", bad_reals(1.0), lambda v: _config(p_list=(v,))),
     "ExperimentConfig.seed": ("seed", counts_below(), lambda v: _config(seeds=(v,))),

@@ -18,9 +18,14 @@ from chromres import (
     RegimeWarning,
     StripKnobs,
     concentration_sample,
+    degeneracy_color,
     density_audit,
     generate_gnp,
+    global_resilience_witness,
+    load_graph,
+    local_resilience_witness,
     parse_config,
+    plant_clique,
     run_experiment,
     to_edge_list,
     union,
@@ -355,6 +360,48 @@ class TestCli:
         assert cli_main(["color", str(graph_path), "--method", "dsatur"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["num_colors"] >= 1
+
+    def test_generate_to_stdout(self, capsys):
+        assert cli_main(["generate", "--n", "15", "--p", "0.3", "--seed", "4"]) == 0
+        assert capsys.readouterr().out == to_edge_list(generate_gnp(GnpParams(15, 0.3, 4)))
+
+    def test_color_degeneracy(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "20", "--p", "0.5", "--seed", "3",
+                         "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["color", str(path), "--method", "degeneracy"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        coloring, degeneracy = degeneracy_color(load_graph(str(path)))
+        assert out["degeneracy"] == degeneracy
+        assert (out["colors"], out["num_colors"]) == (list(coloring.colors), coloring.num_colors)
+
+    def test_attack_writes_the_attacked_graph(self, tmp_path, capsys):
+        path, attacked = tmp_path / "g.txt", tmp_path / "attacked.txt"
+        assert cli_main(["generate", "--n", "12", "--p", "0.5", "--seed", "1",
+                         "--out", str(path)]) == 0
+        assert cli_main(["attack", str(path), "--strategy", "plant_clique", "--t", "5",
+                         "--out", str(attacked)]) == 0
+        g = load_graph(str(path))
+        assert attacked.read_text() == to_edge_list(union(g, plant_clique(g, range(5))))
+
+    @pytest.mark.parametrize("argv, call", [
+        (["--mode", "local", "--chi-cap", "3", "--delta-max", "2"],
+         lambda g: local_resilience_witness(g, 3, 2)),
+        (["--chi-cap", "3", "--m-max", "2"], lambda g: global_resilience_witness(g, 3, 2)),
+    ])
+    def test_resilience_matches_the_oracle(self, tmp_path, capsys, argv, call):
+        path = tmp_path / "c5.txt"
+        path.write_text("5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        assert cli_main(["resilience", str(path), *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        hit = call(load_graph(str(path)))
+        if hit is None:  # C5 needs three added edges for chi 4
+            assert out["result"] is None and "witness_edges" not in out
+        else:
+            assert out["result"] == hit[0]
+            assert out["witness_edges"] == [list(pr) for pr in hit[1].sorted_pairs()]
+        assert out["mode"] == ("local" if "local" in argv else "global")
 
     def test_exact_color_c5(self, tmp_path, capsys):
         p = tmp_path / "c5.txt"

@@ -255,6 +255,20 @@ def test_strip_color_reads_added_pairs_once():
     assert reads(fn), "strip_color no longer reads added.pairs at all"
 
 
+def test_coloring_leaves_pair_keys_to_isets():
+    """A family's pair index is built in isets (_indexed), beside the cap
+    and the pick that read it; coloring neither imports nor calls
+    _pair_keys, so the key layout lives in one module."""
+    path = os.path.join(SRC, "chromres", "coloring.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    named = [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    assert "_pair_keys" not in imported + named
+
+
 def test_cap_and_pick_do_not_sort():
     """isets._capped counts a family's pair index with a bincount and
     isets._sparsest looks it up in a table: a sort in either is paid every
