@@ -32,7 +32,8 @@ _count and _real are the package's one check of a scalar parameter: a count
 is an int (a bool is none) of at least some least value, a real an int or a
 float (not a bool) strictly between 0 and an upper bound, optionally 0
 included, never NaN. Each raises a ValueError whose message begins with the
-argument's name.
+argument's name. _vertex_count checks every n a Graph is built with: a count
+of at most _MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Largest vertex count either parser accepts; a header above it is rejected
+# Largest vertex count of a Graph; a builder or parser rejects an n above it
 # before anything of size n is allocated.
 _MAX_VERTICES = 1 << 20
 # Draws per rng.random call in generate_gnp: bounds the float64 buffer the
@@ -88,6 +89,16 @@ def _real(name: str, value, high: float = math.inf, zero: bool = False) -> None:
         bounds = (f"lie strictly between 0 and {high:g}" if high < math.inf
                   else "be >= 0 and finite" if zero else "be positive and finite")
         raise ValueError(f"{name} must {bounds}, got {value!r}")
+
+
+def _vertex_count(n) -> None:
+    """ValueError unless n is a count (see _count) of at most _MAX_VERTICES;
+    a negative int is named as a negative vertex count."""
+    if isinstance(n, int) and n < 0:
+        raise ValueError(f"negative vertex count {n}")
+    _count("n", n)
+    if n > _MAX_VERTICES:
+        raise ValueError(f"n must be <= {_MAX_VERTICES}, got {n}")
 
 
 def _labels(vertices, n: int) -> None:
@@ -139,9 +150,11 @@ class Graph:
     """Immutable simple graph on vertices 0..n-1.
 
     rows[i] is the neighbor bitmask of vertex i; edge_count is the number of
-    true unordered pairs. Construction raises ValueError for a negative n or
-    a rows tuple whose length is not n. Symmetry and loop-freeness are
-    invariants the builders keep; validate() checks them.
+    true unordered pairs. Construction, and each builder before it builds
+    anything of size n, raises ValueError for an n that is not an int (a bool
+    is none) in 0.._MAX_VERTICES; construction also for a rows tuple whose
+    length is not n. Symmetry and loop-freeness are invariants the builders
+    keep; validate() checks them.
     """
 
     n: int
@@ -149,22 +162,24 @@ class Graph:
     edge_count: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"negative vertex count {self.n}")
+        _vertex_count(self.n)
         if len(self.rows) != self.n:
             raise ValueError(f"{len(self.rows)} rows for n={self.n}")
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        _vertex_count(n)
         return cls(n, (0,) * n, 0)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _vertex_count(n)
         full = (1 << n) - 1
         return cls(n, tuple(full & ~(1 << v) for v in range(n)), n * (n - 1) // 2)
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
+        _vertex_count(n)
         if n < 3:
             raise ValueError("cycle needs n >= 3")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -174,13 +189,12 @@ class Graph:
         """Graph on n vertices with the given pairs as edges, in either order;
         repeated pairs count once. Raises ValueError on a self-loop or an
         endpoint outside 0..n-1."""
+        _vertex_count(n)
         pairs = [(operator.index(u), operator.index(v)) for u, v in pairs]
         for u, v in pairs:
             u, v = _normalize_pair(u, v)
             if not 0 <= u < v < n:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if n < 0:
-            raise ValueError(f"negative vertex count {n}")
         uv = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
         rows, count = _rows_from_pairs(n, [(uv[:, 0], uv[:, 1])])
         return cls(n, rows, count)
@@ -308,23 +322,26 @@ def _rows_from_pairs(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]],
     bits.
 
     Blocks of rows are sized by their packed bytes, n * ceil(n/8) for the
-    whole matrix, and set as bool matrices of 8x that size. The whole matrix
-    is held at once only when its packed bytes are no more than
-    _MATRIX_BLOCK_BYTES or than the pair arrays themselves; each chunk is then
-    set as it arrives. Otherwise the input is sparse for its n: the pairs are
-    grouped by blocks of rows of at most _MATRIX_BLOCK_BYTES packed, only
-    blocks that some pair touches are filled, one at a time, and every other
-    row is 0. Requires n >= 0.
+    whole matrix, and set as bool matrices of 8x that size. A block of rows
+    r0..r1-1 is set as one flat bool array, bit dst of row src at index
+    (src - r0) * 8 * ceil(n/8) + dst, so each chunk is one scatter by flat
+    index; the array is reshaped into the matrix. The whole matrix is held
+    at once only when its packed bytes are no more than _MATRIX_BLOCK_BYTES
+    or than the pair arrays themselves; each chunk is then set as it arrives.
+    Otherwise the input is sparse for its n: the pairs are grouped by blocks
+    of rows of at most _MATRIX_BLOCK_BYTES packed, only blocks that some pair
+    touches are filled, one at a time, and every other row is 0. Requires
+    n >= 0.
     """
     width = (n + 7) // 8
     rows = [0] * n
 
     def fill(r0: int, r1: int, entries: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
         # set bit dst of row src for every (src, dst) entry, rows r0..r1-1
-        block = np.zeros((r1 - r0, 8 * width), dtype=bool)
+        block = np.zeros((r1 - r0) * 8 * width, dtype=bool)
         for src, dst in entries:
-            block[src - r0, dst] = True
-        rows[r0:r1] = _ints(block)
+            block[(src - r0) * (8 * width) + dst] = True
+        rows[r0:r1] = _ints(block.reshape(r1 - r0, 8 * width))
 
     chunks = iter(chunks)
     held, held_bytes = [], 0
@@ -424,12 +441,15 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 #
 # Both parsers read integers with int() semantics. Tokens and lines are those
 # of str.split() and str.splitlines(). The parsers share one tokenizer
-# (_Block): each block of text becomes a UTF-32 code-point array, whitespace
-# and line breaks become masks, tokens are the mask's runs, and each token's
-# line is a count of the breaks before it. They share one line-shape pass
-# (_line_heads: each line's first token and token count), on which each
-# checks its own header and line classes; only endpoint tokens are read as
-# values, short ASCII digit runs as arrays and every other token by int().
+# (_Block): each block of text becomes an array of its code points, one byte
+# each when str.isascii() holds for the block (always, for text load_graph
+# reads) and UTF-32 otherwise, so one non-ASCII character widens only its own
+# block. Whitespace and line breaks become masks, tokens are the mask's runs,
+# and each token's line is a count of the breaks before it. They share one
+# line-shape pass (_line_heads: each line's first token and token count), on
+# which each checks its own header and line classes; only endpoint tokens are
+# read as values, short ASCII digit runs as arrays and every other token by
+# int().
 # One validator (_edge_graph) then decides, for both formats, on the 0-based
 # pairs: the header's vertex count (0.._MAX_VERTICES), the edge count, the
 # range, loops and duplicates (the number of distinct pairs must equal the
@@ -468,13 +488,14 @@ _WIDE_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2
                          0x205F, 0x3000], dtype=np.uint32)
 _WIDE_BREAKS = np.array([0x85, 0x2028, 0x2029], dtype=np.uint32)
 # Longest token of ASCII digits whose value the column pass computes; every
-# value below 10^18 fits int64.
-_FAST_DIGITS = 18
+# value below 10^9 fits int32.
+_FAST_DIGITS = 9
 
 
 def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(space, brk) for uint32 code points: whether str.split treats each as
-    whitespace, and whether str.splitlines ends a line at it."""
+    """(space, brk) for uint8 or uint32 code points: whether str.split treats
+    each as whitespace, and whether str.splitlines ends a line at it. The
+    range tests wrap the same way at either width, and no uint8 code is wide."""
     space = (codes - 9 < 5) | (codes - 28 < 5)  # \t\n\v\f\r, \x1c-\x1f and " "
     brk = (codes - 10 < 4) | (codes - 28 < 3)  # \n\v\f\r and \x1c-\x1e
     wide = np.flatnonzero(codes > 127)
@@ -487,7 +508,8 @@ def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Block:
     """A piece of text tokenized on its code points: token k is
     text[starts[k]:ends[k]], a maximal run of non-whitespace, and lies on
-    line lines[k] of the piece.
+    line lines[k] of the piece. codes holds the code points as uint8 when
+    str.isascii() holds for the piece, as uint32 otherwise.
 
     Lines are numbered by counting line breaks, so a CR LF pair opens an
     empty line between its two breaks; that line holds no token, so two
@@ -496,7 +518,10 @@ class _Block:
 
     def __init__(self, text: str):
         self.text = text
-        self.codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        if text.isascii():
+            self.codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        else:
+            self.codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         space, brk = _classify(self.codes)
         self.line_at = np.cumsum(brk, dtype=np.int32)  # a break opens the next line
         flips = np.flatnonzero(np.diff(space, prepend=True, append=True))
@@ -514,20 +539,24 @@ class _Block:
         of the first one that is not an integer or does not fit.
 
         Tokens of at most _FAST_DIGITS ASCII digits are summed column by
-        column, least significant digit first; every other one goes through
-        int().
+        column in int32, least significant digit first, at the width of the
+        block's codes; every other token goes through int(). The same code
+        serves uint8 and uint32 codes: a code below "0" wraps to a large digit.
         """
         starts, ends = self.starts[tokens], self.ends[tokens]
         sizes = ends - starts
-        value = np.zeros(len(starts), dtype=np.int64)
         fast = sizes <= _FAST_DIGITS
+        value = np.zeros(len(starts), dtype=np.int32)
         at = ends - 1
         for j in range(min(int(sizes.max(initial=0)), _FAST_DIGITS)):
-            # past a token's first digit, re-read that digit and add nothing
+            # past a token's first digit, re-read that digit and add nothing;
+            # a sum that a non-digit wraps is replaced by int() below
             digit = self.codes[np.maximum(at, starts)] - 48
             fast &= digit < 10
-            value += np.where(sizes > j, digit, 0).astype(np.int64) * 10 ** j
+            digit[sizes <= j] = 0
+            value += digit.astype(np.int32) * 10 ** j
             at -= 1
+        value = value.astype(np.int64)
         for k in np.flatnonzero(~fast).tolist():
             try:
                 value[k] = int(self.text[starts[k]:ends[k]])

@@ -300,6 +300,7 @@ class TestEdgeSet:
     lambda: Graph.empty(-1),
     lambda: Graph.from_edges(-1, []),
     lambda: Graph(-1, (), 0),
+    lambda: Graph.complete(-1),
 ])
 def test_negative_vertex_count_rejected(build):
     with pytest.raises(ValueError, match="negative vertex count -1"):

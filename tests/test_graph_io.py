@@ -30,7 +30,7 @@ from chromres import (
     to_edge_list,
 )
 from chromres.cli import main as cli_main
-from chromres.graph import _TEXT_BLOCK_CHARS, _classify
+from chromres.graph import _TEXT_BLOCK_CHARS, _blocks, _classify
 from conftest import (
     from_edges_reference,
     generate_gnp_reference,
@@ -305,6 +305,72 @@ def test_tokenizer_classes_match_str_methods():
     want_brk = np.array([len(("a" + ch + "b").splitlines()) == 2 for ch in chars])
     assert [hex(ord(chars[i])) for i in np.flatnonzero(space != want_space)] == []
     assert [hex(ord(chars[i])) for i in np.flatnonzero(brk != want_brk)] == []
+
+
+def test_tokenizer_classes_match_at_either_code_width():
+    # an ASCII block is tokenized on one-byte codes, any other on UTF-32
+    ascii_codes = np.frombuffer(bytes(range(128)), dtype=np.uint8)
+    wide = _classify(ascii_codes.astype("<u4"))
+    for got, want in zip(_classify(ascii_codes), wide):
+        assert np.array_equal(got, want)
+
+
+def test_parsers_match_reference_across_code_widths():
+    # one no-break space and one line separator on a middle line of G(400):
+    # the block holding them is read as UTF-32, every other block as bytes
+    g = generate_gnp(GnpParams(400, 0.5, 4))
+    for write, parse, reference in ((to_edge_list, parse_edge_list, parse_edge_list_reference),
+                                    (to_dimacs, parse_dimacs, parse_dimacs_reference)):
+        lines = write(g).splitlines()
+        mid = len(lines) // 2
+        lines[mid] = lines[mid].replace(" ", "\xa0", 1)
+        text = "\n".join(lines[:mid + 1]) + "\u2028" + "\n".join(lines[mid + 1:]) + "\n"
+        widths = [block.codes.itemsize for block in _blocks(text)]
+        assert len(widths) > 3 and sorted(widths)[-2:] == [1, 4]
+        assert parse(text) == reference(text) == g
+
+
+# Tokens of 9, 10, 18, 19 and 20 characters, on either side of the nine-digit
+# column sums and of int64, and tokens only int() reads
+WIDTH_TOKENS = ["000000002", "0000000002", "0" * 17 + "2", "0" * 18 + "2", "0" * 19 + "2",
+                "+1", "1_0", "999999999", str(2**32 + 2), "9" * 18, str(2**63 - 1), str(2**63),
+                str(2**64 + 2)]
+
+
+def _graph_or_message(parse, text):
+    """parse(text), or the message of the GraphFormatError it raised."""
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("token", WIDTH_TOKENS)
+def test_header_tokens_match_reference(token):
+    texts = [f"3 {token}\n0 2\n", f"p edge 3 {token}\ne 1 3\n"]
+    if int(token) < 100:  # a larger n would make the reference build its rows
+        texts += [f"{token} 0\n", f"p edge {token} 0\n"]
+    for text in texts:
+        parse, reference = ((parse_dimacs, parse_dimacs_reference) if text[0] == "p"
+                            else (parse_edge_list, parse_edge_list_reference))
+        assert _graph_or_message(parse, text) == _graph_or_message(reference, text)
+
+
+@pytest.mark.parametrize("token", WIDTH_TOKENS)
+def test_endpoint_tokens_match_reference(token):
+    # token as an endpoint of a 12-vertex graph; the validator words an
+    # out-of-range endpoint its own way, and reads an int64 overflow as a
+    # bad line, so those messages are pinned here
+    for text, parse, reference in (
+            (f"12 2\n0 {token}\n10 11\n", parse_edge_list, parse_edge_list_reference),
+            (f"p edge 12 2\ne 3 {token}\ne 11 12\n", parse_dimacs, parse_dimacs_reference)):
+        got, want = _graph_or_message(parse, text), _graph_or_message(reference, text)
+        if int(token) < 12:
+            assert isinstance(want, Graph) and got == want
+        else:
+            assert isinstance(want, str)
+            assert got == (f"bad edge line {text.splitlines()[1]!r}" if int(token) >= 2**63
+                           else "edge 1 of 2 has an endpoint out of range for n=12")
 
 
 def test_parsers_match_reference_across_text_blocks():

@@ -187,6 +187,17 @@ PROBES = {
     "GnpParams-n-bool": ("n", lambda: GnpParams(True, 0.5)),
     "GnpParams-n-above-limit": ("n", lambda: GnpParams(2**21, 0.5)),
     "GnpParams-seed-negative": ("seed", lambda: GnpParams(10, 0.5, -1)),
+    "Graph-n-bool": ("n", lambda: Graph(True, (0,), 0)),
+    "Graph.empty-n-bool": ("n", lambda: Graph.empty(True)),
+    "Graph.complete-n-bool": ("n", lambda: Graph.complete(True)),
+    "Graph.from_edges-n-bool": ("n", lambda: Graph.from_edges(True, [])),
+    "Graph.empty-n-float": ("n", lambda: Graph.empty(2.5)),
+    "Graph.from_edges-n-float": ("n", lambda: Graph.from_edges(2.5, [])),
+    "Graph.cycle-n-float": ("n", lambda: Graph.cycle(3.0)),
+    # the limit only where nothing of size n is built before the check would
+    # run: complete(2**20 + 1) unchecked builds about 128 GB of rows
+    "Graph.empty-n-above-limit": ("n", lambda: Graph.empty(_MAX_VERTICES + 1)),
+    "Graph.from_edges-n-above-limit": ("n", lambda: Graph.from_edges(_MAX_VERTICES + 1, [])),
     "run_experiment-workers-bool": ("workers", lambda: run_experiment(_config(), workers=True)),
     "bounded_degree_h-delta-negative": ("delta", lambda: bounded_degree_h(10, -1, 0)),
     "local_resilience_witness-delta_max-negative": (
