@@ -20,9 +20,7 @@ from .analytics import (
 from .adversary import (
     SearchBudgetError,
     bounded_degree_h,
-    global_resilience_oracle,
     global_resilience_witness,
-    local_resilience_oracle,
     local_resilience_witness,
     plant_clique,
     random_budget,

@@ -1,14 +1,17 @@
 """Edge-addition strategies and exact resilience oracles.
 
-The oracles are exhaustive ground truth at tiny n: both run one search over
-candidate edge additions in a documented order of classes (global: edge
-count ascending, colexicographic within a class; local: degree cap Delta
-ascending, maximal bounded subsets in include-first DFS order), so the first
-hit is minimal, and they never approximate. Every chi_cap-coloring the
-search finds joins a pool, and a candidate that some pooled coloring leaves
-proper is skipped without a search: adding its pairs keeps chi <= chi_cap,
-so it cannot be the first hit, and the first hit and its witness are those
-of searching every candidate.
+The oracles are exhaustive ground truth at tiny n. Each has one entry
+point, global_resilience_witness or local_resilience_witness, which returns
+None or the least value with a witness edge set, and checks its sizes with
+isets._within, the one helper that raises SizeLimitError. Both run one
+search over candidate edge additions in a documented order of classes
+(global: edge count ascending, colexicographic within a class; local: degree
+cap Delta ascending, maximal bounded subsets in include-first DFS order), so
+the first hit is minimal, and they never approximate. Every chi_cap-coloring
+the search finds joins a pool, and a candidate that some pooled coloring
+leaves proper is skipped without a search: adding its pairs keeps
+chi <= chi_cap, so it cannot be the first hit, and the first hit and its
+witness are those of searching every candidate.
 Strategies (clique planting, random budgets, bounded-degree graphs) scale to
 any n the graph module handles.
 """
@@ -20,9 +23,9 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .coloring import Coloring, _search, _within_exact_limit, verify_coloring
+from .coloring import _EXACT_LIMIT, Coloring, _search, verify_coloring
 from .graph import EdgeSet, Graph, _count, _labels, union
-from .isets import SizeLimitError
+from .isets import _within
 
 
 class SearchBudgetError(RuntimeError):
@@ -119,7 +122,7 @@ def _first_defeat(g: Graph, chi_cap: int, non_edges: list[tuple[int, int]],
     witness are those of searching every candidate in order. Each coloring
     is checked proper before it joins, since every later skip rests on it.
     """
-    _within_exact_limit(g.n)
+    _within(g.n, _EXACT_LIMIT, "exact-chromatic")
     base_coloring = _search(g, chi_cap)
     if base_coloring is None:
         return 0, EdgeSet(frozenset())
@@ -169,12 +172,6 @@ def global_resilience_witness(g: Graph, chi_cap: int,
     return _first_defeat(g, chi_cap, non_edges, (
         (size, _colex_combinations(non_edges, size))
         for size in range(1, min(m_max, len(non_edges)) + 1)))
-
-
-def global_resilience_oracle(g: Graph, chi_cap: int, m_max: int) -> Optional[int]:
-    """Minimum number of added edges defeating 'chi <= chi_cap'; see witness."""
-    hit = global_resilience_witness(g, chi_cap, m_max)
-    return None if hit is None else hit[0]
 
 
 def _maximal_bounded_subsets(non_edges: list[tuple[int, int]], n: int, delta: int,
@@ -270,17 +267,8 @@ def local_resilience_witness(g: Graph, chi_cap: int, delta_max: int,
     _count("delta_max", delta_max)
     _count("size_limit", size_limit)
     _count("node_budget", node_budget)
-    if g.n > size_limit:
-        raise SizeLimitError(f"n={g.n} exceeds local-oracle limit {size_limit}")
+    _within(g.n, size_limit, "local-oracle")
     non_edges = g.non_edges()
     return _first_defeat(g, chi_cap, non_edges, (
         (delta, _maximal_bounded_subsets(non_edges, g.n, delta, node_budget))
         for delta in range(1, delta_max + 1)))
-
-
-def local_resilience_oracle(g: Graph, chi_cap: int, delta_max: int,
-                            size_limit: int = _LOCAL_SIZE_LIMIT,
-                            node_budget: int = _LOCAL_NODE_BUDGET) -> Optional[int]:
-    """Minimum per-vertex budget defeating 'chi <= chi_cap'; see witness."""
-    hit = local_resilience_witness(g, chi_cap, delta_max, size_limit, node_budget)
-    return None if hit is None else hit[0]

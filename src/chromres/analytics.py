@@ -107,6 +107,14 @@ class AnalyticProfile:
         return d
 
 
+def _residual_threshold(n: int, p: float, epsilon: float) -> float:
+    """eps n / (16 ln np): the remainder size at which strip_color's global
+    variant stops stripping and colors the residue, and the largest subset
+    size whose edge density density_audit checks, since the residue's
+    coloring rests on that density property. Needs np > 1."""
+    return epsilon * n / (16.0 * math.log(n * p))
+
+
 def log_b(p: float, x: float) -> float:
     """log of x to the base b = 1/(1-p)."""
     return math.log(x) / math.log(1.0 / (1.0 - p))

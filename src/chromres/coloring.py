@@ -21,6 +21,7 @@ this module handles the index but never computes a pair key.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass, asdict
@@ -29,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import isets
-from .analytics import CAP_MULTIPLIER, AnalyticProfile, compute_k0, expected_counts
+from .analytics import (CAP_MULTIPLIER, AnalyticProfile, _residual_threshold, compute_k0,
+                        expected_counts)
 # induced_subgraph is no longer called here; the name stays bound because
 # perfbench's tracer selftest checks that it patches this binding too
 from .graph import (EdgeSet, Graph, _bits, _count, _edges_inside, _members, _real, _words,
@@ -43,6 +45,7 @@ from .isets import (
     _restricted,
     _sparsest,
     _turan,
+    _within,
     max_independent_set,
     min_degree_vertex,
     turan_extract,
@@ -335,13 +338,6 @@ def _tabucol(g: Graph, k: int, start: Coloring) -> Optional[Coloring]:
     return found
 
 
-def _within_exact_limit(n: int, limit: int = _EXACT_LIMIT) -> None:
-    """SizeLimitError when n vertices are more than limit, the guard of
-    chromatic_exact and of both resilience oracles."""
-    if n > limit:
-        raise SizeLimitError(f"n={n} exceeds exact-chromatic limit {limit}")
-
-
 def chromatic_exact(g: Graph, limit: int = _EXACT_LIMIT) -> int:
     """Exact chromatic number; SizeLimitError beyond `limit` vertices.
 
@@ -355,7 +351,7 @@ def chromatic_exact(g: Graph, limit: int = _EXACT_LIMIT) -> int:
     limit is a count.
     """
     _count("limit", limit)
-    _within_exact_limit(g.n, limit)
+    _within(g.n, limit, "exact-chromatic")
     start = dsatur(g)
     for k in range(greedy_clique(g), start.num_colors):
         try:
@@ -436,9 +432,9 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     largest union-independent subset via the greedy bound, and spend a fresh
     color on it. Rounds whose remainder exceeds family_size_limit fall back
     to the greedy route. A round whose enumeration blows node_budget takes
-    one exact maximum independent set when s <= isets._ALPHA_LIMIT (the
-    default limit of max_independent_set) and the greedy route otherwise;
-    both are flagged in the trace. The residue is colored by
+    one exact maximum independent set when max_independent_set accepts s
+    vertices at its default limit, and the greedy route when it raises
+    SizeLimitError; both are flagged in the trace. The residue is colored by
     degeneracy_color on its mask of the union. ValueError unless epsilon is
     positive and finite.
 
@@ -469,7 +465,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     n, p, theta = base.n, profile.p, profile.theta
     full = union(base, added)
     threshold = (n / (math.log(n) ** 2) if knobs.variant == "local"
-                 else epsilon * n / (16.0 * math.log(n * p)))
+                 else _residual_threshold(n, p, epsilon))
     i0 = math.ceil(math.log2(max(1.0, n / threshold)))  # 0 unless threshold < n
     buckets = [0] * i0
     flags: list[str] = []
@@ -521,8 +517,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                                                node_budget=knobs.node_budget)
                     except EnumerationLimitError:
                         flags.append(f"enumeration-budget@s={s}")
-                        if s <= isets._ALPHA_LIMIT:
-                            # the family is out of reach but one maximum set is not
+                        # the family is out of reach but one maximum set may not be
+                        with contextlib.suppress(SizeLimitError):
                             chosen = max_independent_set(base, within=remaining)
                             route = "exact-alpha"
                             flags.append(f"exact-alpha-fallback@s={s}")

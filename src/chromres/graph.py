@@ -43,6 +43,7 @@ import math
 import operator
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -138,11 +139,7 @@ class EdgeSet:
                 raise ValueError(f"pair ({u},{v}) out of range for n={n}")
 
     def max_degree(self) -> int:
-        deg: dict[int, int] = {}
-        for u, v in self.pairs:
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        return max(deg.values(), default=0)
+        return max(Counter(v for pair in self.pairs for v in pair).values(), default=0)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ whose pairs _coverage reads from int64 label keys u * n + v.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,6 +96,15 @@ _SET_LIMIT = 5_000_000
 
 class SizeLimitError(RuntimeError):
     """Instance exceeds the configured exact-search size limit."""
+
+
+def _within(n: int, limit: int, search: str) -> None:
+    """SizeLimitError when n vertices are more than `limit`, the one size
+    guard of every exact search (`search` names it in the message). Each
+    search calls it before any other work, so a caller that would rather
+    fall back than fail catches the error instead of checking n itself."""
+    if n > limit:
+        raise SizeLimitError(f"n={n} exceeds {search} limit {limit}")
 
 
 class EnumerationLimitError(RuntimeError):
@@ -152,8 +162,7 @@ def max_independent_set(g: Graph, limit: int = _ALPHA_LIMIT,
     _count("limit", limit)
     top = _vertex_mask(g, within)
     size = top.bit_count()
-    if size > limit:
-        raise SizeLimitError(f"n={size} exceeds exact-search limit {limit}")
+    _within(size, limit, "exact-search")
     rows, n = g.rows, g.n
     degree = {v: (rows[v] & top).bit_count() for v in _members(top)}
 
@@ -303,10 +312,7 @@ class IsetFamily:
         return len(self.sets)
 
     def coverage_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for c in self.coverage.values():
-            hist[c] = hist.get(c, 0) + 1
-        return hist
+        return dict(Counter(self.coverage.values()))
 
     def to_json(self) -> dict:
         return {
@@ -440,9 +446,7 @@ def _enumerate_sets(rows: tuple[int, ...], within: int, k: int, limit: int = _SE
     s = within.bit_count()
     if k > s:
         return np.empty((0, k), dtype=np.int32)
-    nodes = 1
-    if node_budget is not None and nodes > node_budget:
-        raise EnumerationLimitError(f"enumeration exceeded node budget {node_budget}")
+    nodes = 1  # the root; the first step's s - k + 1 >= 1 children trip any budget below 1
     verts = np.array(_members(within), dtype=np.int32)
     adj = np.concatenate(list(_projected(rows, verts)))  # among verts, s x s
     words = (s + 63) >> 6

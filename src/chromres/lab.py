@@ -10,6 +10,7 @@ regardless of scheduling or worker count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -28,7 +29,7 @@ from .coloring import (_EXACT_LIMIT, StripKnobs, chromatic_exact, dsatur, strip_
                        verify_coloring)
 from .graph import (EdgeSet, Graph, GnpParams, _count, _edges_inside, _real, generate_gnp,
                     mask_of, union)
-from .isets import enumerate_isets, uniform_family
+from .isets import SizeLimitError, enumerate_isets, uniform_family
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -95,7 +96,7 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     _count("samples", samples, 1 if mode == "sampled" else 0)
     _count("seed", seed)
     log_np = math.log(n * p)
-    s_max = math.floor(epsilon * n / (16.0 * log_np))
+    s_max = math.floor(analytics._residual_threshold(n, p, epsilon))
     s_max = min(s_max, n)
     bound = epsilon * n * p / (8.0 * log_np)
 
@@ -366,7 +367,8 @@ def run_row(config: ExperimentConfig, n: int, p: float, seed: int) -> dict:
         row["predicted_target"] = "" if target is None else round(target, 6)
         row["working_k"] = "" if k is None else k
 
-        if n <= config.exact_limit:
+        # a row above exact_limit leaves exact_chi blank
+        with contextlib.suppress(SizeLimitError):
             row["exact_chi"] = chromatic_exact(full, config.exact_limit)
         row["verify_ok"] = ok
     except Exception as exc:  # per-row capture is the sweep contract

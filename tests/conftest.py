@@ -552,6 +552,12 @@ def first_defeat_reference(g: Graph, chi_cap: int, classes):
     return None
 
 
+def witness_value(hit):
+    """The value of a *_resilience_witness result, which is None or
+    (value, witness): None when no candidate defeats the cap."""
+    return None if hit is None else hit[0]
+
+
 def maximal_bounded_subsets_reference(non_edges, n: int, delta: int, node_budget: int,
                                       visits=None):
     """Recursive include-first DFS over non_edges in list order, yielding the

@@ -26,7 +26,7 @@ from chromres import (
     dsatur,
     enumerate_isets,
     generate_gnp,
-    global_resilience_oracle,
+    global_resilience_witness,
     induced_subgraph,
     max_independent_set,
     parse_config,
@@ -40,7 +40,7 @@ from chromres import (
     verify_coloring,
 )
 from chromres.lab import comparable_table, csv_to_rows
-from conftest import brute_chromatic, path, petersen, star
+from conftest import brute_chromatic, path, petersen, star, witness_value
 
 DATA = pathlib.Path(__file__).parent / "data"
 NO_EDGES = EdgeSet(frozenset())
@@ -116,7 +116,7 @@ def test_criterion_03_oracle_cross_check():
         if e.m == 0 or chromatic_exact(union(g, e)) <= cap:
             return True
         raised += 1
-        got = global_resilience_oracle(g, cap, e.m)
+        got = witness_value(global_resilience_witness(g, cap, e.m))
         return got is not None and got <= e.m
 
     graphs = _suite_small_graphs() + [gnp(8, 0.5, seed) for seed in range(100)]
@@ -139,7 +139,7 @@ def test_criterion_03_oracle_cross_check():
             if brute_chromatic(union(c5, EdgeSet.from_pairs(subset))) > 3:
                 exhaustive = size
                 break
-    oracle_c5 = global_resilience_oracle(c5, 3, 5)
+    oracle_c5 = witness_value(global_resilience_witness(c5, 3, 5))
     elapsed = time.perf_counter() - started
     ok = exhaustive == 3 and oracle_c5 == 3 and elapsed < 600.0
     report(3, ok, f"{checked} strategy runs ({raised} raised chi) dominated, "

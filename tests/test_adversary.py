@@ -14,15 +14,13 @@ from chromres import (
     bounded_degree_h,
     chromatic_exact,
     generate_gnp,
-    global_resilience_oracle,
     global_resilience_witness,
-    local_resilience_oracle,
     local_resilience_witness,
     plant_clique,
     random_budget,
     union,
 )
-from conftest import bounded_degree_h_reference, brute_chromatic
+from conftest import bounded_degree_h_reference, brute_chromatic, witness_value
 
 
 def gnp(n, p, seed):
@@ -140,17 +138,17 @@ def exhaustive_global_minimum(g: Graph, chi_cap: int, m_max: int):
 
 class TestGlobalOracle:
     def test_empty3_cap1(self):
-        assert global_resilience_oracle(Graph.empty(3), 1, 3) == 1
+        assert global_resilience_witness(Graph.empty(3), 1, 3)[0] == 1
 
     def test_k4_minus_edge(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert chromatic_exact(g) == 3
-        assert global_resilience_oracle(g, 3, 3) == 1  # restore (2,3)
+        assert global_resilience_witness(g, 3, 3)[0] == 1  # restore (2,3)
 
     def test_c5_cap3_is_three(self):
         c5 = Graph.cycle(5)
         assert exhaustive_global_minimum(c5, 3, 3) == 3  # independent scan
-        assert global_resilience_oracle(c5, 3, 5) == 3
+        assert global_resilience_witness(c5, 3, 5)[0] == 3
 
     def test_witness_is_a_certificate(self):
         hit = global_resilience_witness(Graph.cycle(5), 3, 5)
@@ -160,24 +158,24 @@ class TestGlobalOracle:
         assert brute_chromatic(union(Graph.cycle(5), witness)) == 4
 
     def test_already_broken_is_zero(self):
-        assert global_resilience_oracle(Graph.complete(4), 3, 2) == 0
+        assert global_resilience_witness(Graph.complete(4), 3, 2)[0] == 0
 
     def test_absent_when_budget_small(self):
-        assert global_resilience_oracle(Graph.cycle(5), 3, 2) is None
+        assert global_resilience_witness(Graph.cycle(5), 3, 2) is None
 
     def test_matches_exhaustive_on_randoms(self):
         for seed in range(8):
             g = gnp(6, 0.5, seed)
             cap = chromatic_exact(g)
             expected = exhaustive_global_minimum(g, cap, 3)
-            assert global_resilience_oracle(g, cap, 3) == expected
+            assert witness_value(global_resilience_witness(g, cap, 3)) == expected
 
     def test_monotone_in_cap(self):
         for seed in range(6):
             g = gnp(6, 0.4, seed)
             cap = chromatic_exact(g)
-            lo = global_resilience_oracle(g, cap, 6)
-            hi = global_resilience_oracle(g, cap + 1, 6)
+            lo = witness_value(global_resilience_witness(g, cap, 6))
+            hi = witness_value(global_resilience_witness(g, cap + 1, 6))
             if lo is not None and hi is not None:
                 assert lo <= hi
 
@@ -207,7 +205,7 @@ class TestGlobalOracle:
             cap = chromatic_exact(g)
             e = plant_clique(g, range(min(8, cap + 1)))
             if e.m and chromatic_exact(union(g, e)) > cap:
-                got = global_resilience_oracle(g, cap, e.m)
+                got = witness_value(global_resilience_witness(g, cap, e.m))
                 assert got is not None and got <= e.m
 
 
@@ -228,16 +226,16 @@ def exhaustive_local_minimum(g: Graph, chi_cap: int, delta_max: int):
 
 class TestLocalOracle:
     def test_empty3_cap1(self):
-        assert local_resilience_oracle(Graph.empty(3), 1, 2) == 1
+        assert local_resilience_witness(Graph.empty(3), 1, 2)[0] == 1
 
     def test_k4_absent(self):
-        assert local_resilience_oracle(Graph.complete(4), 4, 3) is None
+        assert local_resilience_witness(Graph.complete(4), 4, 3) is None
 
     def test_c5_cap3_pinned_by_exhaustive(self):
         c5 = Graph.cycle(5)
         expected = exhaustive_local_minimum(c5, 3, 4)
         assert expected == 2  # all five chords form a 2-regular addition
-        assert local_resilience_oracle(c5, 3, 4) == 2
+        assert local_resilience_witness(c5, 3, 4)[0] == 2
 
     def test_witness_degree_capped(self):
         hit = local_resilience_witness(Graph.cycle(5), 3, 4)
@@ -250,19 +248,19 @@ class TestLocalOracle:
         for seed in range(6):
             g = gnp(5, 0.5, seed)
             cap = chromatic_exact(g)
-            assert local_resilience_oracle(g, cap, 4) == \
+            assert witness_value(local_resilience_witness(g, cap, 4)) == \
                 exhaustive_local_minimum(g, cap, 4)
 
     def test_matches_exhaustive_n6(self):
         for seed in range(4):
             g = gnp(6, 0.5, seed)
             cap = chromatic_exact(g)
-            assert local_resilience_oracle(g, cap, 5) == \
+            assert witness_value(local_resilience_witness(g, cap, 5)) == \
                 exhaustive_local_minimum(g, cap, 5)
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
-            local_resilience_oracle(Graph.empty(12), 1, 1)
+            local_resilience_witness(Graph.empty(12), 1, 1)
 
     def test_node_budget(self):
         # the DFS reaches its first leaf (a perfect matching of K8's 28

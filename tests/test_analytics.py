@@ -17,6 +17,7 @@ from chromres import (
     max_independent_set,
     predicted_chromatic,
     tail_bounds,
+    working_k,
 )
 
 
@@ -169,6 +170,9 @@ class TestPredictedChromatic:
         # np < log^3 n everywhere at desk scale: the clamp yields 2
         _, k = predicted_chromatic(100, 0.5, 0.0)
         assert k == 2
+
+    def test_working_k_absent_at_np_one(self):
+        assert working_k(2, 0.5) is None
 
 
 class TestProfile:

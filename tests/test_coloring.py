@@ -299,6 +299,22 @@ class TestStripColor:
         assert any(flag.startswith("exact-alpha-fallback")
                    for flag in trace.fidelity_flags)
 
+    def test_blown_enumeration_above_the_alpha_limit_goes_greedy(self):
+        # max_independent_set refuses the 130- and 121-vertex remainders with
+        # SizeLimitError, so those rounds take the greedy route; the third
+        # round's 112 vertices are within its default limit of 120
+        base = gnp(130, 0.5, 6)
+        profile = build_profile(130, 0.5, 1.0)
+        knobs = StripKnobs(family_size_limit=130, node_budget=10)
+        coloring, trace = strip_color(base, NO_EDGES, 1.0, profile, knobs)
+        assert verify_coloring(base, coloring)
+        assert [(s, route) for s, _, route, _, _ in trace.rounds[:3]] == \
+            [(130, "greedy"), (121, "greedy"), (112, "exact-alpha")]
+        assert trace.fidelity_flags[:6] == (
+            "enumeration-budget@s=130", "greedy-fallback@s=130",
+            "enumeration-budget@s=121", "greedy-fallback@s=121",
+            "enumeration-budget@s=112", "exact-alpha-fallback@s=112")
+
     def test_trace_json(self):
         base = gnp(30, 0.5, 1)
         profile = build_profile(30, 0.5, 1.0)

@@ -26,6 +26,7 @@ from chromres import (
     load_graph,
     parse_dimacs,
     parse_edge_list,
+    save_graph,
     to_dimacs,
     to_edge_list,
 )
@@ -397,6 +398,14 @@ def test_parsers_match_reference_across_text_blocks():
             reference(repeated)
 
 
+def test_edge_list_header_after_a_block_of_blank_lines():
+    # the first tokenizer block holds only newlines, so the header is the
+    # first line of the second block
+    text = "\n" * (_TEXT_BLOCK_CHARS + 5) + "3 1\n0 1\n"
+    assert next(_blocks(text)).lines.size == 0
+    assert parse_edge_list(text) == parse_edge_list_reference(text) == Graph.from_edges(3, [(0, 1)])
+
+
 def test_sparse_large_n_matches_reference():
     text = "p edge 200000 3\ne 1 200000\ne 199999 5\nc\ne 100001 100000\n"
     assert parse_dimacs(text) == parse_dimacs_reference(text)
@@ -454,6 +463,13 @@ def test_load_graph_sniffs_first_non_blank_character(tmp_path, text):
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("ascii"))
     assert load_graph(str(path)) == Graph.from_edges(3, [(0, 2)])
+
+
+def test_save_graph_rejects_an_unknown_format_before_writing(tmp_path):
+    path = tmp_path / "g.gml"
+    with pytest.raises(ValueError, match="^unknown format 'gml'$"):
+        save_graph(Graph.cycle(3), str(path), "gml")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("data", [b"3 1\n0 2\xe9\n", b"p edge 3 1\ne 1 \xff3\n"])

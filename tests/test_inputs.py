@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from chromres import (
     GnpParams,
     Graph,
     GraphFormatError,
+    SizeLimitError,
     StripKnobs,
     bounded_degree_h,
     build_profile,
@@ -37,7 +39,6 @@ from chromres import (
     find_coloring,
     generate_gnp,
     global_resilience_witness,
-    local_resilience_oracle,
     local_resilience_witness,
     max_independent_set,
     parse_config,
@@ -234,10 +235,41 @@ def test_defaults_read_the_search_guards():
     assert parser.parse_args(["color", "g.txt"]).exact_limit == coloring._EXACT_LIMIT
     assert parser.parse_args(["isets", "g.txt", "--k", "2"]).limit == isets._SET_LIMIT
     assert _config().exact_limit == coloring._EXACT_LIMIT
-    for entry in (local_resilience_witness, local_resilience_oracle):
-        params = inspect.signature(entry).parameters
-        assert params["size_limit"].default == adversary._LOCAL_SIZE_LIMIT
-        assert params["node_budget"].default == adversary._LOCAL_NODE_BUDGET
+    params = inspect.signature(local_resilience_witness).parameters
+    assert params["size_limit"].default == adversary._LOCAL_SIZE_LIMIT
+    assert params["node_budget"].default == adversary._LOCAL_NODE_BUDGET
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: max_independent_set(G, limit=3, within=0b1111),
+                 "n=4 exceeds exact-search limit 3", id="max_independent_set"),
+    pytest.param(lambda: chromatic_exact(G, limit=11),
+                 "n=12 exceeds exact-chromatic limit 11", id="chromatic_exact"),
+    pytest.param(lambda: global_resilience_witness(Graph.empty(41), 1, 1),
+                 "n=41 exceeds exact-chromatic limit 40", id="global_resilience_witness"),
+    pytest.param(lambda: local_resilience_witness(G, 1, 1),
+                 "n=12 exceeds local-oracle limit 9", id="local_resilience_witness"),
+])
+def test_size_guards_name_the_search_and_its_limit(call, message):
+    # max_independent_set counts the vertices of its mask, not of the graph
+    with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: expected_counts(5, 0.5, 6), "k0 must be <= n", id="expected_counts"),
+    pytest.param(lambda: Graph.cycle(2), "cycle needs n >= 3", id="Graph.cycle"),
+    pytest.param(lambda: density_audit(generate_gnp(GnpParams(20, 0.5, 0)), 0.5, 1.0,
+                                       mode="bogus"),
+                 "unknown mode 'bogus'", id="density_audit"),
+    pytest.param(lambda: concentration_sample(2, 0.5, 1.0, 4.0, 1, 0),
+                 "profile lacks a usable k0/mu0 at these parameters", id="concentration_sample"),
+    pytest.param(lambda: parse_config("n=10\np=0.5\nseeds=1\nbogus\n"),
+                 "bad config line 'bogus'", id="parse_config"),
+])
+def test_well_typed_value_outside_the_domain_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # Tokens int() rejects, or integers outside every graph's range

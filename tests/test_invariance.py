@@ -18,11 +18,12 @@ from chromres import (
     chromatic_exact,
     enumerate_isets,
     generate_gnp,
-    global_resilience_oracle,
-    local_resilience_oracle,
+    global_resilience_witness,
+    local_resilience_witness,
     max_independent_set,
     uniform_family,
 )
+from conftest import witness_value
 
 pytestmark = pytest.mark.filterwarnings("ignore::chromres.RegimeWarning")
 
@@ -37,7 +38,8 @@ def _invariants(g: Graph) -> tuple:
     family = enumerate_isets(g, K)
     capped = uniform_family(family, CAP)
     return (chi, len(max_independent_set(g)), len(family), len(capped), capped.excess_mass,
-            global_resilience_oracle(g, chi, M_MAX), local_resilience_oracle(g, chi, DELTA_MAX))
+            witness_value(global_resilience_witness(g, chi, M_MAX)),
+            witness_value(local_resilience_witness(g, chi, DELTA_MAX)))
 
 
 @st.composite

@@ -384,3 +384,65 @@ def test_unseeded_randomness_check_flags_each_form():
         "from numpy import random",               # 14
     ])
     assert _unseeded_randomness(source) == [8, 9, 9, 10, 11, 12, 13, 14]
+
+
+def _size_limit_raises(path: str) -> list[tuple[int, str]]:
+    """(line, enclosing function) of every SizeLimitError(...) call."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "SizeLimitError"):
+                found.append((child.lineno, scope))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_size_limit_error_built_only_in_one_guard():
+    """isets._within raises every SizeLimitError, so each exact search's
+    size check and its message live in one place."""
+    paths = sorted(glob.glob(os.path.join(SRC, "chromres", "*.py")))
+    assert paths
+    raises = {(os.path.basename(p), scope, line) for p in paths
+              for line, scope in _size_limit_raises(p)}
+    assert {r[:2] for r in raises} == {("isets.py", "_within")}, \
+        f"SizeLimitError built outside isets._within: {sorted(raises)}"
+
+
+def test_alpha_limit_read_only_in_isets():
+    """max_independent_set's default limit is its own: a caller that wants to
+    know whether the search takes a mask calls it and catches SizeLimitError."""
+    paths = sorted(glob.glob(os.path.join(SRC, "chromres", "*.py")))
+    assert paths
+    readers = []
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            if "_ALPHA_LIMIT" in f.read():
+                readers.append(os.path.basename(path))
+    assert readers == ["isets.py"]
+
+
+def test_lab_leaves_exact_limit_to_chromatic_exact():
+    """run_row passes exact_limit to chromatic_exact and catches its
+    SizeLimitError; no comparison in lab.py repeats the guard."""
+    path = os.path.join(SRC, "chromres", "lab.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)
+                if (isinstance(operand, ast.Attribute) and operand.attr == "exact_limit")
+                or (isinstance(operand, ast.Name) and operand.id == "exact_limit")]
+    assert not compared, f"exact_limit compared in lab.py at lines {compared}"
+
+
+def test_package_exports_no_oracle_wrappers():
+    """Each resilience oracle has one entry point, its *_witness function."""
+    import chromres
+
+    assert [name for name in dir(chromres) if name.endswith("_oracle")] == []
