@@ -8,15 +8,18 @@ does not settle k within a small node budget. A coloring TabuCol finds is
 verified, and an unbudgeted exact search settles any k it fails on, so the
 value is exact; the budget, move cap and seed only move time. dsatur and
 degeneracy_color are the deterministic heuristics. dsatur and the exact
-search keep their vertex-choice key packed into one integer per vertex and
-update it as vertices are colored (and, in the search, uncolored), so each
-pick is one C-level scan of a list for its maximum. strip_color builds a
-proper coloring of base+added by repeatedly pulling a nearly-maximal
-independent set of the base graph that contains few added pairs, refining
-it to an independent set of the union, and spending one color on it; the
-small residue is finished with the degeneracy coloring. A family's pair
-index, which its cap and sparse pick read, is built in isets (_indexed):
-this module handles the index but never computes a pair key.
+search hold their vertex-choice key (saturation, then degree, then lowest
+label) as bit-sliced counters: slice j of a count is a mask of the vertices
+whose count has bit j set. A pick descends the slices within the uncolored
+mask, and coloring a vertex (or, in the search, uncoloring it) updates its
+neighbours' counts with a ripple carry over the slices, a few bigint
+operations per slice instead of a loop over the neighbours. strip_color
+builds a proper coloring of base+added by repeatedly pulling a
+nearly-maximal independent set of the base graph that contains few added
+pairs, refining it to an independent set of the union, and spending one
+color on it; the small residue is finished with the degeneracy coloring. A
+family's pair index, which its cap and sparse pick read, is built in isets
+(_indexed): this module handles the index but never computes a pair key.
 """
 
 from __future__ import annotations
@@ -88,32 +91,83 @@ def verify_coloring(g: Graph, c: Coloring) -> bool:
 def dsatur(g: Graph) -> Coloring:
     """Saturation-degree greedy coloring.
 
-    Vertex choice: highest saturation, then highest degree among uncolored
-    vertices, then lowest index. Fully deterministic. That key is kept
-    packed as one integer per vertex, sat*n^2 + udeg*n + (n-1-u) (-1 once
-    colored), updated as each vertex is colored, so a pick is one scan of a
-    list for its maximum.
+    Vertex choice: highest saturation (distinct neighbour colors), then
+    highest degree among uncolored vertices, then lowest index; the vertex
+    takes the lowest color no neighbour holds. Fully deterministic.
+
+    Both counts are bit-sliced. A pick keeps the uncolored vertices, then,
+    from the top saturation slice down and on through the degree slices,
+    narrows them to those with the slice's bit wherever one has it, and
+    takes the lowest label left. seen[c] masks the vertices with a neighbour
+    colored c, so coloring v with c adds 1 to the saturation of
+    rows[v] & uncolored & ~seen[c] and takes 1 from the degree of
+    rows[v] & uncolored: about 3 log2(n) bigint operations per vertex.
     """
-    n = g.n
     rows = g.rows
-    colors: list[int] = [-1] * n
-    neigh_colors: list[set[int]] = [set() for _ in range(n)]
-    score = [rows[u].bit_count() * n + (n - 1 - u) for u in range(n)]
-    sat_step = n * n
-    for _ in range(n):
-        v = score.index(max(score))
+    colors = [-1] * g.n
+    uncolored = (1 << g.n) - 1
+    sat: list[int] = []
+    deg = _degree_slices(rows)
+    seen: list[int] = []
+    for _ in range(g.n):
+        cand = uncolored
+        for bits in reversed(sat):
+            if cand & bits:
+                cand &= bits
+        for bits in reversed(deg):
+            if cand & bits:
+                cand &= bits
+        v = _members(cand)[0]
+        bit = 1 << v
         c = 0
-        while c in neigh_colors[v]:
+        while c < len(seen) and seen[c] & bit:
             c += 1
+        if c == len(seen):
+            seen.append(0)
         colors[v] = c
-        score[v] = -1
-        for w in _members(rows[v]):
-            if colors[w] < 0:
-                score[w] -= n  # one uncolored neighbour fewer
-                if c not in neigh_colors[w]:
-                    neigh_colors[w].add(c)
-                    score[w] += sat_step
-    return Coloring(tuple(colors), max(colors, default=-1) + 1)
+        uncolored ^= bit
+        nbrs = rows[v] & uncolored
+        _add_one(sat, nbrs & ~seen[c])
+        _take_one(deg, nbrs)
+        seen[c] |= rows[v]
+    return Coloring(tuple(colors), len(seen))
+
+
+def _degree_slices(rows: tuple[int, ...]) -> list[int]:
+    """The degrees bit-sliced: bit u of slice j is bit j of rows[u]'s
+    popcount. The vertices are grouped by degree first, so each slice takes
+    one OR per distinct degree that has its bit."""
+    by_degree: dict[int, int] = {}
+    for u, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << u
+    slices = [0] * max(by_degree, default=0).bit_length()
+    for d, mask in by_degree.items():
+        for j in range(d.bit_length()):
+            if d >> j & 1:
+                slices[j] |= mask
+    return slices
+
+
+def _add_one(slices: list[int], mask: int) -> None:
+    """Add 1 to the bit-sliced count of each vertex in mask (a ripple carry)."""
+    for j, bits in enumerate(slices):
+        if not mask:
+            return
+        slices[j] = bits ^ mask
+        mask &= bits
+    if mask:
+        slices.append(mask)
+
+
+def _take_one(slices: list[int], mask: int) -> None:
+    """Take 1 from the bit-sliced count of each vertex in mask (a ripple
+    borrow); each of those counts must be positive."""
+    for j, bits in enumerate(slices):
+        if not mask:
+            return
+        slices[j] = bits ^ mask
+        mask &= ~bits
 
 
 def degeneracy_order(g: Graph) -> tuple[list[int], int]:
@@ -162,13 +216,14 @@ def _degeneracy_colors(rows: tuple[int, ...],
 
 def greedy_clique(g: Graph) -> int:
     """Greedy clique size, a quick chromatic lower bound."""
-    rows = g.rows
+    n, rows = g.n, g.rows
     best = 0
-    for start in sorted(range(g.n), key=lambda v: (-rows[v].bit_count(), v))[:8]:
+    for start in sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))[:8]:
         clique = 1
         cand = rows[start]
         while cand:
-            pick = max(_members(cand), key=lambda u: ((rows[u] & cand).bit_count(), -u))
+            # most neighbours in cand, ties to the lowest label
+            pick = max(_members(cand), key=lambda u: (rows[u] & cand).bit_count() * n - u)
             clique += 1
             cand &= rows[pick] & ~(1 << pick)
         best = max(best, clique)
@@ -181,11 +236,7 @@ def find_coloring(g: Graph, k: int) -> Optional[Coloring]:
     Backtracking with DSATUR-style dynamic vertex choice (most distinct
     neighbour colors, then highest degree, then lowest index) and the
     standard symmetry break (a vertex may open at most one fresh color
-    index). The choice key is kept packed as one integer per vertex,
-    sat*n^2 + degree*n + (n-1-u) with sat the number of distinct neighbour
-    colors (-1 once colored), updated and undone with each vertex's bitmask
-    of neighbour colors, so a pick is one scan of a list for its maximum.
-    ValueError unless k is a count.
+    index); see _search. ValueError unless k is a count.
     """
     _count("k", k)
     return _search(g, k)
@@ -198,51 +249,67 @@ class _BudgetSpent(Exception):
 def _search(g: Graph, k: int, budget: Optional[int] = None) -> Optional[Coloring]:
     """find_coloring's search; with a budget, _BudgetSpent once the search
     enters more than `budget` nodes (calls of its recursion). A call counts
-    its first node even on an empty graph, so a budget below 1 always trips."""
-    n = g.n
+    its first node even on an empty graph, so a budget below 1 always trips.
+
+    Each node picks as dsatur does, on bit-sliced saturations and static
+    (whole-graph) degree slices, and reads the picked vertex's saturation
+    off the saturation slices that narrowed the pick: at k or more the node
+    fails. Otherwise the vertex tries each color it may take in ascending
+    order, up to max_used + 1 and below k. seen[c] masks the vertices with a
+    neighbour colored c; coloring v with c adds 1 to the saturation of
+    rows[v] & uncolored & ~seen[c], and backtracking takes it off again and
+    restores seen[c]. seen holds a mask for each color in use and for the
+    fresh one being tried, so nothing is sized by k.
+    """
     rows = g.rows
-    nbrs = [_members(row) for row in rows]
-    score = [rows[u].bit_count() * n + (n - 1 - u) for u in range(n)]
-    sat_step = n * n
-    colors = [-1] * n
-    seen = [0] * n  # bit c set: a colored neighbour holds color c
+    deg = _degree_slices(rows)
+    sat: list[int] = []
+    seen: list[int] = []
+    colors = [-1] * g.n
+    uncolored = (1 << g.n) - 1
     nodes = 0
     cap = math.inf if budget is None else budget
 
     def solve(remaining: int, max_used: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, uncolored
         nodes += 1
         if nodes > cap:
             raise _BudgetSpent
         if remaining == 0:
             return True
-        v = score.index(max(score))
-        taken = seen[v]
-        if taken.bit_count() >= k:
+        cand, saturation = uncolored, 0
+        for j in range(len(sat) - 1, -1, -1):
+            if cand & sat[j]:
+                cand &= sat[j]
+                saturation |= 1 << j
+        if saturation >= k:
             return False
-        saved, score[v] = score[v], -1
-        top = min(k - 1, max_used + 1)
-        for c in range(top + 1):
-            bit = 1 << c
+        for bits in reversed(deg):
+            if cand & bits:
+                cand &= bits
+        v = _members(cand)[0]
+        bit = 1 << v
+        uncolored ^= bit
+        nbrs = rows[v] & uncolored
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if c == len(seen):
+                seen.append(0)  # the fresh color, max_used + 1
+            taken = seen[c]
             if taken & bit:
                 continue
             colors[v] = c
-            undo: list[int] = []
-            for w in nbrs[v]:
-                if not seen[w] & bit and colors[w] < 0:
-                    seen[w] |= bit
-                    score[w] += sat_step
-                    undo.append(w)
+            fresh = nbrs & ~taken
+            _add_one(sat, fresh)
+            seen[c] = taken | rows[v]
             if solve(remaining - 1, max(max_used, c)):
                 return True
-            for w in undo:
-                seen[w] ^= bit
-                score[w] -= sat_step
-        colors[v] = -1
-        score[v] = saved
+            _take_one(sat, fresh)
+            seen[c] = taken
+        del seen[max_used + 1:]
+        uncolored |= bit
         return False
 
-    if not solve(n, -1):
+    if not solve(g.n, -1):
         return None
     # a vertex opens only color max_used + 1, so the colors used are 0..max
     return Coloring(tuple(colors), max(colors, default=-1) + 1)

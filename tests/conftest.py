@@ -292,11 +292,17 @@ def find_coloring_reference(g: Graph, k: int):
     """Backtracking k-coloring: the next vertex maximizes (distinct neighbour
     colors, degree, -label) over a scan of every vertex; a vertex may open
     at most one fresh color. Colors tidied to first-use rank."""
+    return count_coloring_nodes_reference(g, k)[0]
+
+
+def count_coloring_nodes_reference(g: Graph, k: int):
+    """(find_coloring_reference's answer, the number of its solve calls);
+    the trivial inputs it answers without a search count 0 calls."""
     n = g.n
     if n == 0:
-        return Coloring((), 0)
+        return Coloring((), 0), 0
     if k <= 0:
-        return None
+        return None, 0
     rows = g.rows
     colors = [-1] * n
     neigh_colors: list[set[int]] = [set() for _ in range(n)]
@@ -311,7 +317,11 @@ def find_coloring_reference(g: Graph, k: int):
                 best_key, best_v = key, u
         return best_v
 
+    nodes = 0
+
     def solve(remaining: int, max_used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
         if remaining == 0:
             return True
         v = pick()
@@ -332,10 +342,10 @@ def find_coloring_reference(g: Graph, k: int):
         return False
 
     if not solve(n, -1):
-        return None
+        return None, nodes
     used = sorted(set(colors))
     remap = {c: i for i, c in enumerate(used)}
-    return Coloring(tuple(remap[c] for c in colors), len(used))
+    return Coloring(tuple(remap[c] for c in colors), len(used)), nodes
 
 
 def dsatur_reference(g: Graph) -> Coloring:

@@ -6,6 +6,7 @@ k-coloring or None, and the same DSATUR coloring."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from chromres import (
 from chromres import coloring
 from conftest import (
     brute_chromatic,
+    count_coloring_nodes_reference,
     dsatur_reference,
     find_coloring_reference,
     max_independent_set_reference,
@@ -139,6 +141,36 @@ def test_find_coloring_matches_reference(n, p, seeds):
         assert outcomes == {True, False}  # both colorable and uncolorable k
 
 
+@pytest.mark.parametrize("n,p,seeds", COLORING_CASES)
+def test_search_budget_counts_the_reference_nodes(n, p, seeds):
+    """_search's node count is the reference's count of solve calls: with N
+    that count, a budget of N answers and N - 1 raises _BudgetSpent, both at
+    k = chi - 1 (a refutation) and at k = chi (a coloring). The local budget
+    of chromatic_exact's exact try rests on this count."""
+    for seed in seeds:
+        g = _gnp(n, p, seed)
+        chi = next(k for k in range(n + 1) if find_coloring_reference(g, k) is not None)
+        for k in (chi - 1, chi):
+            expected, nodes = count_coloring_nodes_reference(g, k)
+            assert coloring._search(g, k, nodes) == expected
+            with pytest.raises(coloring._BudgetSpent):
+                coloring._search(g, k, nodes - 1)
+
+
+def test_find_coloring_sizes_nothing_by_k():
+    """Any count k is accepted and nothing is sized by it: k = 10**12 gives
+    the k = n coloring, within a small traced peak."""
+    g = _gnp(40, 0.5, 1)
+    tracemalloc.start()
+    try:
+        huge = find_coloring(g, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge == find_coloring(g, g.n)
+    assert peak < 32 * 1024, f"traced peak {peak} B"
+
+
 @DIFF
 @given(st.integers(0, 2**32 - 1))
 def test_find_coloring_matches_reference_on_small_graphs(seed):
@@ -172,8 +204,26 @@ def test_chromatic_exact_takes_a_tabucol_coloring_on_g60(monkeypatch):
     assert runs == [(10, True)]
 
 
+# around the 64-bit word and bit-slice widths a count or a mask crosses
+SLICE_EDGES = [63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_dsatur_matches_reference(p):
-    for n in [*range(0, 41), 60, 100, 150]:
+    for n in [*range(0, 41), 60, 100, 150, *SLICE_EDGES]:
         g = _gnp(n, p, 1000 + n) if n else Graph.empty(0)
+        assert dsatur(g) == dsatur_reference(g)
+
+
+def _bipartite(n: int) -> Graph:
+    """The complete bipartite graph between the even and the odd labels."""
+    return Graph.from_edges(n, [(u, v) for u in range(0, n, 2) for v in range(1, n, 2)])
+
+
+@pytest.mark.parametrize("family", [Graph.empty, Graph.complete, Graph.cycle, _bipartite])
+def test_dsatur_matches_reference_on_ties(family):
+    """Graphs whose vertices tie on saturation and degree at every pick, so
+    each pick comes down to the lowest label."""
+    for n in [3, 4, 5, 8, 33, *SLICE_EDGES]:
+        g = family(n)
         assert dsatur(g) == dsatur_reference(g)
