@@ -20,7 +20,7 @@ the number of edges of a graph with both ends in a mask.
 
 The generator draws its random stream in fixed-size blocks, the writers
 unpack each row's upper neighbours at once, and the parsers read blocks of
-text as arrays of code points (one tokenizer for both formats, no Python
+ASCII text as arrays of bytes (one tokenizer for both formats, no Python
 string per token) and check all their edges as arrays. Every path that turns
 a list of pairs into rows (generator, parsers, Graph.from_edges) goes through
 _rows_from_pairs, which sets the bits of bounded blocks of rows and counts
@@ -436,17 +436,16 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 # DIMACS coloring instances: "p edge n m" header, "e u v" lines, 1-based.
 # The conversion is the bit-exact shift u+1, v+1.
 #
-# Both parsers read integers with int() semantics. Tokens and lines are those
-# of str.split() and str.splitlines(). The parsers share one tokenizer
-# (_Block): each block of text becomes an array of its code points, one byte
-# each when str.isascii() holds for the block (always, for text load_graph
-# reads) and UTF-32 otherwise, so one non-ASCII character widens only its own
-# block. Whitespace and line breaks become masks, tokens are the mask's runs,
-# and each token's line is a count of the breaks before it. They share one
-# line-shape pass (_line_heads: each line's first token and token count), on
-# which each checks its own header and line classes; only endpoint tokens are
-# read as values, short ASCII digit runs as arrays and every other token by
-# int().
+# Both parsers read ASCII text only, as load_graph does, and raise
+# GraphFormatError naming the first other character and its index. They read
+# integers with int() semantics; tokens and lines are those of str.split() and
+# str.splitlines(). The parsers share one tokenizer (_Block): each block of
+# text becomes an array of its bytes, whitespace and line breaks become masks,
+# tokens are the mask's runs, and each token's line is a count of the breaks
+# before it. They share one line-shape pass (_line_heads: each line's first
+# token and token count), on which each checks its own header and line
+# classes; only endpoint tokens are read as values, short digit runs as arrays
+# and every other token by int().
 # One validator (_edge_graph) then decides, for both formats, on the 0-based
 # pairs: the header's vertex count (0.._MAX_VERTICES), the edge count, the
 # range, loops and duplicates (the number of distinct pairs must equal the
@@ -477,36 +476,23 @@ def to_dimacs(g: Graph) -> str:
     return _edge_text(g, f"p edge {g.n} {g.edge_count}", "e ", 1)
 
 
-# Code points above 127 at which str.split() cuts, and those of them at which
-# str.splitlines() also ends a line; below 128 both sets are a few ranges
-# (see _classify). Pinned against str.isspace and str.splitlines for every
-# code point by tests/test_graph_io.py.
-_WIDE_SPACES = np.array([0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
-                         0x205F, 0x3000], dtype=np.uint32)
-_WIDE_BREAKS = np.array([0x85, 0x2028, 0x2029], dtype=np.uint32)
 # Longest token of ASCII digits whose value the column pass computes; every
 # value below 10^9 fits int32.
 _FAST_DIGITS = 9
 
 
 def _classify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(space, brk) for uint8 or uint32 code points: whether str.split treats
-    each as whitespace, and whether str.splitlines ends a line at it. The
-    range tests wrap the same way at either width, and no uint8 code is wide."""
+    """(space, brk) for uint8 ASCII codes: whether str.split treats each as
+    whitespace, and whether str.splitlines ends a line at it."""
     space = (codes - 9 < 5) | (codes - 28 < 5)  # \t\n\v\f\r, \x1c-\x1f and " "
     brk = (codes - 10 < 4) | (codes - 28 < 3)  # \n\v\f\r and \x1c-\x1e
-    wide = np.flatnonzero(codes > 127)
-    if wide.size:
-        space[wide] = np.isin(codes[wide], _WIDE_SPACES)
-        brk[wide] = np.isin(codes[wide], _WIDE_BREAKS)
     return space, brk
 
 
 class _Block:
-    """A piece of text tokenized on its code points: token k is
+    """A piece of ASCII text tokenized on its codes: token k is
     text[starts[k]:ends[k]], a maximal run of non-whitespace, and lies on
-    line lines[k] of the piece. codes holds the code points as uint8 when
-    str.isascii() holds for the piece, as uint32 otherwise.
+    line lines[k] of the piece. codes holds the piece's ASCII codes as uint8.
 
     Lines are numbered by counting line breaks, so a CR LF pair opens an
     empty line between its two breaks; that line holds no token, so two
@@ -515,10 +501,7 @@ class _Block:
 
     def __init__(self, text: str):
         self.text = text
-        if text.isascii():
-            self.codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        else:
-            self.codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        self.codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
         space, brk = _classify(self.codes)
         self.line_at = np.cumsum(brk, dtype=np.int32)  # a break opens the next line
         flips = np.flatnonzero(np.diff(space, prepend=True, append=True))
@@ -535,10 +518,9 @@ class _Block:
         indices), as int() reads them; raise GraphFormatError naming the line
         of the first one that is not an integer or does not fit.
 
-        Tokens of at most _FAST_DIGITS ASCII digits are summed column by
-        column in int32, least significant digit first, at the width of the
-        block's codes; every other token goes through int(). The same code
-        serves uint8 and uint32 codes: a code below "0" wraps to a large digit.
+        Tokens of at most _FAST_DIGITS digits are summed column by column in
+        int32, least significant digit first; every other token goes through
+        int(). A uint8 code below "0" wraps to a large digit.
         """
         starts, ends = self.starts[tokens], self.ends[tokens]
         sizes = ends - starts
@@ -566,7 +548,11 @@ class _Block:
 def _blocks(text: str) -> Iterator[_Block]:
     """text in pieces of about _TEXT_BLOCK_CHARS characters, each cut just
     after a newline. A newline is a line break and whitespace, so no line or
-    token spans two pieces."""
+    token spans two pieces. Text that is not ASCII raises GraphFormatError
+    naming its first non-ASCII character, before any piece is read."""
+    if not text.isascii():
+        bad = re.search(r"[^\x00-\x7f]", text)
+        raise GraphFormatError(f"input is not ASCII text: {bad.group()!r} at index {bad.start()}")
     start = 0
     while start < len(text):
         end = text.find("\n", start + _TEXT_BLOCK_CHARS)

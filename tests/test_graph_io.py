@@ -8,7 +8,6 @@ sized so that each test takes a few seconds at most.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 import tracemalloc
@@ -192,20 +191,19 @@ def test_parsers_match_reference_on_mutated_text(case):
             parse(text)
 
 
-WIDE_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
-                   "\x0e", "\x00"]
-WIDE_TOKENS = ["\u0663", "\uff13", "1__0", "_1", str(2**63 - 1), str(2**63), "1" * 25]
+WIDE_SEPARATORS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0e", "\x00"]
+WIDE_TOKENS = ["1__0", "_1", str(2**63 - 1), str(2**63), "1" * 25]
 
 
 @st.composite
 def wide_mutated_texts(draw):
-    """(is_dimacs, text): a written graph with up to four mutations: insert a
-    separator, replace a space or newline by one, replace a token, or insert
-    one. The separators are Unicode whitespace, line breaks, a control
-    character and NUL (the last two are not whitespace); the tokens are
-    non-ASCII digits, misplaced underscores and values at and past the int64
-    bound. Some texts then get a blank line that pushes the lines after it
-    across the parsers' block cut."""
+    """(is_dimacs, text): a written graph with up to four mutations anywhere
+    in its text: insert a separator, replace a space or newline by one,
+    replace a token, or insert one. The separators are the ASCII line breaks
+    and whitespace beyond \t\n\v\f\r and " ", a control character and NUL
+    (the last two are not whitespace); the tokens are misplaced underscores
+    and values at and past the int64 bound. Some texts then get a blank line
+    that pushes the lines after it across the parsers' block cut."""
     n = draw(st.integers(1, 12))
     g = generate_gnp(GnpParams(n, draw(st.sampled_from([0.2, 0.5])), draw(st.integers(0, 9))))
     dimacs = draw(st.booleans())
@@ -235,7 +233,7 @@ def wide_mutated_texts(draw):
         # lines after it hold the tokens on both sides of it
         starts = [0] + [m.end() for m in re.finditer("\n", text)]
         at = draw(st.sampled_from(starts))
-        fill = draw(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"]))
+        fill = draw(st.sampled_from([" ", "\t", "\x1f"]))
         width = _TEXT_BLOCK_CHARS - draw(st.integers(0, 30)) - at - 1
         text = text[:at] + fill * width + "\n" + text[at:]
     return dimacs, text
@@ -257,7 +255,7 @@ def test_parsers_match_reference_on_wide_mutations(case):
 
 @pytest.mark.parametrize("parse, reference, text", [
     (parse_edge_list, parse_edge_list_reference, "4 2\n0 1 2 3\n"),
-    (parse_edge_list, parse_edge_list_reference, "4 2\n0 1\xa02 3\n"),
+    (parse_edge_list, parse_edge_list_reference, "4 2\n0 1\x1f2 3\n"),
     (parse_edge_list, parse_edge_list_reference, "4 2\n0\n1\n2 3\n"),
     (parse_edge_list, parse_edge_list_reference, "4 2\n0 1\n2 3 \x1e4\n"),
     (parse_edge_list, parse_edge_list_reference, "4 2 0\n1\n2 3\n"),
@@ -265,7 +263,7 @@ def test_parsers_match_reference_on_wide_mutations(case):
     (parse_dimacs, parse_dimacs_reference, "pp edge 3 1\ne 1 2\n"),
     (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 1 2 e 2 3\n"),
     (parse_dimacs, parse_dimacs_reference, "p edge 3 1\ne 1\n2\n"),
-    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\n e\u20281 2\n"),
+    (parse_dimacs, parse_dimacs_reference, "p edge 3 1\n e\x1e1 2\n"),
     # well-shaped lines whose pairs the shared edge validator rejects
     (parse_edge_list, parse_edge_list_reference, "3 1\n2 1\n"),
     (parse_edge_list, parse_edge_list_reference, "3 1\n1 1\n"),
@@ -291,44 +289,46 @@ def test_edge_validator_names_the_failing_check(parse, text, message):
         parse(text)
 
 
-@pytest.mark.parametrize("parse, text", [
-    (parse_edge_list, "\u2029 4 2\x85\x1f0\u30001\u20282\xa03\x1c\n"),
-    (parse_dimacs, "cx\u2028p\x1fedge 4 2\x85e 1 2\x1de\xa03 4\r\n"),
+def _not_ascii(text: str, at: int) -> str:
+    """The pattern of the error that names text[at] as the first non-ASCII
+    character of text."""
+    return f"^input is not ASCII text: {re.escape(repr(text[at]))} at index {at}$"
+
+
+# an ASCII separator of the same class for each non-ASCII one in the texts below
+ASCII_SEPARATORS = {0x85: "\r\n", 0xA0: "\x1f", 0x2028: "\x1e", 0x2029: "\x1d", 0x3000: "\x1f"}
+
+
+@pytest.mark.parametrize("parse, text, at", [
+    (parse_edge_list, "\u2029 4 2\x85\x1f0\u30001\u20282\xa03\x1c\n", 0),
+    (parse_dimacs, "cx\u2028p\x1fedge 4 2\x85e 1 2\x1de\xa03 4\r\n", 2),
 ])
-def test_parsers_read_unicode_whitespace_and_breaks(parse, text):
-    assert parse(text) == Graph.from_edges(4, [(0, 1), (2, 3)])
+def test_parsers_reject_unicode_whitespace_and_breaks(parse, text, at):
+    with pytest.raises(GraphFormatError, match=_not_ascii(text, at)):
+        parse(text)
+    assert parse(text.translate(ASCII_SEPARATORS)) == Graph.from_edges(4, [(0, 1), (2, 3)])
 
 
 def test_tokenizer_classes_match_str_methods():
-    chars = "".join(map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000))))
-    space, brk = _classify(np.frombuffer(chars.encode("utf-32-le"), dtype="<u4"))
+    chars = "".join(map(chr, range(128)))
+    space, brk = _classify(np.frombuffer(chars.encode("ascii"), dtype=np.uint8))
     want_space = np.array([ch.isspace() for ch in chars])
     want_brk = np.array([len(("a" + ch + "b").splitlines()) == 2 for ch in chars])
     assert [hex(ord(chars[i])) for i in np.flatnonzero(space != want_space)] == []
     assert [hex(ord(chars[i])) for i in np.flatnonzero(brk != want_brk)] == []
 
 
-def test_tokenizer_classes_match_at_either_code_width():
-    # an ASCII block is tokenized on one-byte codes, any other on UTF-32
-    ascii_codes = np.frombuffer(bytes(range(128)), dtype=np.uint8)
-    wide = _classify(ascii_codes.astype("<u4"))
-    for got, want in zip(_classify(ascii_codes), wide):
-        assert np.array_equal(got, want)
-
-
-def test_parsers_match_reference_across_code_widths():
-    # one no-break space and one line separator on a middle line of G(400):
-    # the block holding them is read as UTF-32, every other block as bytes
+def test_parsers_reject_non_ascii_in_a_middle_block():
+    # one no-break space on a middle line of G(400), past the first block:
+    # rejected before any block is read, naming the character and its index
     g = generate_gnp(GnpParams(400, 0.5, 4))
-    for write, parse, reference in ((to_edge_list, parse_edge_list, parse_edge_list_reference),
-                                    (to_dimacs, parse_dimacs, parse_dimacs_reference)):
-        lines = write(g).splitlines()
-        mid = len(lines) // 2
-        lines[mid] = lines[mid].replace(" ", "\xa0", 1)
-        text = "\n".join(lines[:mid + 1]) + "\u2028" + "\n".join(lines[mid + 1:]) + "\n"
-        widths = [block.codes.itemsize for block in _blocks(text)]
-        assert len(widths) > 3 and sorted(widths)[-2:] == [1, 4]
-        assert parse(text) == reference(text) == g
+    for write, parse in ((to_edge_list, parse_edge_list), (to_dimacs, parse_dimacs)):
+        text = write(g)
+        at = text.index(" ", len(text) // 2)
+        text = text[:at] + "\xa0" + text[at + 1:]
+        assert _TEXT_BLOCK_CHARS < at < len(text) - _TEXT_BLOCK_CHARS
+        with pytest.raises(GraphFormatError, match=_not_ascii(text, at)):
+            parse(text)
 
 
 # Tokens of 9, 10, 18, 19 and 20 characters, on either side of the nine-digit

@@ -43,6 +43,14 @@ CAP = 2
 # and at n = 5 no p with np > 1 leaves one.
 AUDIT_NP = 1.05
 AUDIT_EPSILON = 0.8
+# Relabelled draws at each n in 5..9, so that n = 6..9, where the audit
+# checks sizes, gets four fifths of the draws.
+DRAWS_PER_N = 12
+# Fewest of the 60 draws whose audit finds a violation. Under pytest the
+# draws give 7, but Hypothesis mixes constants from the source of the modules
+# loaded into its draws, so an edit anywhere can move the count: 70 seeds of
+# the same strategies gave 5 to 16 (median 11).
+AUDIT_VIOLATIONS = 5
 
 
 def _invariants(g: Graph) -> tuple:
@@ -56,24 +64,36 @@ def _invariants(g: Graph) -> tuple:
             len(audit.violations))
 
 
-def _gnp_draw(draw) -> Graph:
-    return generate_gnp(GnpParams(draw(st.integers(5, 9)), draw(st.sampled_from([0.3, 0.5, 0.7])),
+def _gnp_draw(draw, n: int) -> Graph:
+    return generate_gnp(GnpParams(n, draw(st.sampled_from([0.3, 0.5, 0.7])),
                                   draw(st.integers(0, 10**6))))
 
 
 @st.composite
-def relabelled(draw):
+def relabelled(draw, n: int):
     """(g, h): a G(n, p) draw and the same graph with its vertices permuted."""
-    g = _gnp_draw(draw)
-    perm = draw(st.permutations(range(g.n)))
-    return g, Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    g = _gnp_draw(draw, n)
+    perm = draw(st.permutations(range(n)))
+    return g, Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(relabelled())
-def test_searches_are_invariant_under_relabelling(case):
-    g, h = case
-    assert _invariants(h) == _invariants(g)
+def test_searches_are_invariant_under_relabelling():
+    """DRAWS_PER_N draws at each n in 5..9 (one integer strategy for n puts
+    about half of all draws at its lower end), and at least AUDIT_VIOLATIONS
+    of them with a violation for the audit to find."""
+    violated = []
+    for n in range(5, 10):
+        @settings(max_examples=DRAWS_PER_N, derandomize=True, database=None, deadline=None)
+        @given(relabelled(n))
+        def check(case):
+            g, h = case
+            invariants = _invariants(g)
+            assert _invariants(h) == invariants
+            violated.append(invariants[-1] > 0)
+
+        check()
+    assert len(violated) == 5 * DRAWS_PER_N
+    assert sum(violated) >= AUDIT_VIOLATIONS
 
 
 def test_audit_checks_sizes_at_every_n_above_five():
@@ -87,7 +107,7 @@ def test_audit_checks_sizes_at_every_n_above_five():
 @st.composite
 def under_cap(draw):
     """(g, cap): a G(n, p) draw and a cap in chi(g)..min(chi(g) + 1, n - 1)."""
-    g = _gnp_draw(draw)
+    g = _gnp_draw(draw, draw(st.integers(5, 9)))
     chi = chromatic_exact(g)
     assume(chi < g.n)  # a complete graph has no (cap + 1)-set
     return g, draw(st.integers(chi, min(chi + 1, g.n - 1)))
