@@ -18,8 +18,8 @@ builds a proper coloring of base+added by repeatedly pulling a
 nearly-maximal independent set of the base graph that contains few added
 pairs, refining it to an independent set of the union, and spending one
 color on it; the small residue is finished with the degeneracy coloring. A
-family's pair index, which its cap and sparse pick read, is built in isets
-(_indexed): this module handles the index but never computes a pair key.
+round gets its family and picks from it through isets (_family and
+_sparse_pick), which alone know a family's arrays and pair index.
 """
 
 from __future__ import annotations
@@ -42,11 +42,8 @@ from .graph import (EdgeSet, Graph, _bits, _count, _edges_inside, _members, _rea
 from .isets import (
     EnumerationLimitError,
     SizeLimitError,
-    _capped,
-    _enumerate_sets,
-    _indexed,
-    _restricted,
-    _sparsest,
+    _family,
+    _sparse_pick,
     _turan,
     _within,
     max_independent_set,
@@ -507,14 +504,11 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     S is held as a bitmask over the original vertex labels and every search,
     the residue's coloring included, runs on that mask of base or of the
-    union, never on a relabelled copy. Families are arrays of sets. Each
-    enumeration builds the family's pair index once (isets._indexed): its
-    pairs as keys i * s0 + j of positions in the remainder S0 it ran on, and
-    a table of the added pairs inside S0. A round counts, caps and picks on
-    those keys without a sort. A later step at the size of the last
-    enumerated family filters it and its keys to S with one row mask
-    (isets._restricted), which gives the fresh enumeration's sets, order and
-    limit trips; a step at another size, or after a blown budget, enumerates.
+    union, never on a relabelled copy. A ladder step gets its family from
+    isets._family, which enumerates it, or filters the family the last step
+    found when that one has its size: that gives the fresh enumeration's
+    sets, order and limit trips. isets._sparse_pick caps the family and
+    picks its member.
 
     A round's sizing extract, the greedy set of base[S] whose size can raise
     k_target, picks on a word matrix of base's rows built once per call when
@@ -550,11 +544,9 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     # empty step that proved the bound, which stayed within node_budget: no
     # skipped step could have tripped a limit either.
     alpha_bound = n
-    # The family of the last step that enumerated or filtered without error,
-    # with its pair index (see _indexed). A later step at its k filters it to
-    # the remainder (isets._restricted) instead of enumerating: S only
-    # shrinks, so that equals a fresh enumeration and trips no limit one would.
-    cached: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    # what the last step that ran without error found, which a later step at
+    # its k filters to S instead of enumerating (see isets._family)
+    cached = None
 
     while remaining and (s := remaining.bit_count()) > threshold:
         family_round = s <= knobs.family_size_limit
@@ -574,40 +566,25 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
             alive = _bits([remaining], (n + 7) >> 3)[0]
             k_try = min(k_target, alpha_bound)
             while k_try >= 2:
-                if cached is not None and cached[0].shape[1] == k_try:
-                    sets, keys, marked = cached
-                    rows = _restricted(sets, alive)
-                    cached = sets[rows], keys[rows], marked
-                else:
-                    try:
-                        sets = _enumerate_sets(base.rows, remaining, k_try,
-                                               node_budget=knobs.node_budget)
-                    except EnumerationLimitError:
-                        flags.append(f"enumeration-budget@s={s}")
-                        # the family is out of reach but one maximum set may not be
-                        with contextlib.suppress(SizeLimitError):
-                            chosen = max_independent_set(base, within=remaining)
-                            route = "exact-alpha"
-                            flags.append(f"exact-alpha-fallback@s={s}")
-                        break
-                    cached = _indexed(sets, alive, added_uv)
-                if len(cached[0]):
-                    fam = cached
+                try:
+                    fam, cached = _family(base.rows, remaining, alive, added_uv, k_try,
+                                          knobs.node_budget, cached)
+                except EnumerationLimitError:
+                    flags.append(f"enumeration-budget@s={s}")
+                    # the family is out of reach but one maximum set may not be
+                    with contextlib.suppress(SizeLimitError):
+                        chosen = max_independent_set(base, within=remaining)
+                        route = "exact-alpha"
+                        flags.append(f"exact-alpha-fallback@s={s}")
+                    break
+                if fam is not None:
                     break
                 k_try -= 1
                 alpha_bound = k_try
             if fam is not None:
                 _, log_mu0 = expected_counts(s, p, k_try)
-                cap = CAP_MULTIPLIER * math.exp(log_mu0)
-                sets, keys, marked = fam
-                kept, _ = _capped(keys, cap)
-                route = "family" if kept.any() else "enum"
-                if route == "family":
-                    sets, keys = sets[kept], keys[kept]
-                # the averaging bound counts only the added pairs inside S
-                inside = int(alive[added_uv].all(axis=1).sum())
-                row, _ = _sparsest(keys, marked, inside, cap if route == "family" else None)
-                chosen = tuple(sets[row].tolist())
+                route, chosen = _sparse_pick(fam, CAP_MULTIPLIER * math.exp(log_mu0),
+                                             alive, added_uv)
         if route == "greedy":
             flags.append(f"greedy-fallback@s={s}")
             if chosen is None:

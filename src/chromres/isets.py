@@ -39,12 +39,12 @@ A family is one (m, k) array of labels, a set per row, from enumeration
 through stripping. The cap and the sparse pick run on a pair index, each
 row's pairs as integers >= 0 that no other pair shares: the cap counts them
 with one bincount, the pick looks them up in a bool table of marked pairs,
-and neither sorts. _indexed builds strip_color's index once per enumeration,
-each pair keyed by its ends' positions in the remainder the family was
-enumerated on, with the table of added pairs inside it; uniform_family and
-sparse_iset number their distinct pairs with one np.unique. The public
-functions wrap these helpers and alone build tuples and the coverage dict,
-whose pairs _coverage reads from int64 label keys u * n + v.
+and neither sorts. strip_color's rounds reach a family only through
+_family, which builds its index or filters it to a later remainder, and
+_sparse_pick. uniform_family and sparse_iset number their distinct pairs
+with one np.unique. The public functions wrap these helpers and alone build
+tuples and the coverage dict, whose pairs _coverage reads from int64 label
+keys u * n + v.
 """
 
 from __future__ import annotations
@@ -337,21 +337,6 @@ def _pair_keys(sets: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _indexed(sets: np.ndarray, alive: np.ndarray,
-             added_uv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sets, keys, marked): the pair index of a family `sets` of labels
-    enumerated on the remainder S0 that the bool array `alive` holds. With
-    the s0 vertices of S0 numbered 0.. in ascending label order, keys holds
-    each row's pairs as i * s0 + j (_pair_keys), and marked is a bool table
-    over the s0 * s0 keys that sets the pairs of added_uv inside S0."""
-    rank = np.cumsum(alive) - 1  # a member label's position in S0
-    s0 = int(rank[-1]) + 1
-    uv = rank[added_uv[alive[added_uv].all(axis=1)]]
-    marked = np.zeros(s0 * s0, dtype=bool)
-    marked[uv[:, 0] * s0 + uv[:, 1]] = True
-    return sets, _pair_keys(rank[sets], s0), marked
-
-
 def _coverage(keys: np.ndarray, n: int) -> dict[tuple[int, int], int]:
     """Pair -> rows of `keys` holding it, in the order a walk of the rows
     first meets each pair."""
@@ -553,16 +538,48 @@ def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
                       coverage=_coverage(_pair_keys(sets, g.n), g.n))
 
 
-def _restricted(sets: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Which rows of `sets` lie inside `alive`, a bool array over the labels,
-    as a bool row mask that also filters anything indexed like the rows.
+def _family(rows: tuple[int, ...], within: int, alive: np.ndarray, added_uv: np.ndarray,
+            k: int, node_budget: Optional[int], last):
+    """(family, cache) for the independent k-sets of the remainder S, the
+    mask `within` and bool label array `alive`; family is None when there
+    are none, and cache, empty or not, is the next call's `last`.
+    EnumerationLimitError past node_budget.
 
-    If sets is _enumerate_sets(rows, S, k) and alive a subset S' of S, its
-    rows are _enumerate_sets(rows, S', k): a k-set of S' is one of S,
-    filtering keeps the order, and the DFS tree on S' is a subtree of the
-    one on S (a node's candidates on S' are a subset of its candidates on
-    S), so no limit trips on S' that did not on S."""
-    return alive[sets].all(axis=1)
+    A family is its (m, k) label array with its pair index: keys, each row's
+    pairs as i * s0 + j for positions in the remainder S0 it was enumerated
+    on (_pair_keys), and marked, a table over the s0 * s0 keys that sets the
+    added pairs inside S0. When `last` holds k-sets of S0 ⊇ S, its rows in S
+    are kept instead: S's k-sets in the same order, and since the DFS tree
+    on S is a subtree of S0's, no limit trips that did not on S0."""
+    if last is not None and last[0].shape[1] == k:
+        sets, keys, marked = last
+        inside = alive[sets].all(axis=1)
+        cache = sets[inside], keys[inside], marked
+    else:
+        sets = _enumerate_sets(rows, within, k, node_budget=node_budget)
+        rank = np.cumsum(alive) - 1  # a member label's position in S0
+        s0 = int(rank[-1]) + 1
+        uv = rank[added_uv[alive[added_uv].all(axis=1)]]
+        marked = np.zeros(s0 * s0, dtype=bool)
+        marked[uv[:, 0] * s0 + uv[:, 1]] = True
+        cache = sets, _pair_keys(rank[sets], s0), marked
+    return (cache if len(cache[0]) else None), cache
+
+
+def _sparse_pick(family, cap: float, alive: np.ndarray,
+                 added_uv: np.ndarray) -> tuple[str, tuple[int, ...]]:
+    """(route, set): the first member of a non-empty _family with the fewest
+    added pairs, picked on route "family" from the family capped at `cap`,
+    or on route "enum" from all of it when the cap empties it. The family
+    route checks the averaging bound on the added pairs inside `alive`."""
+    sets, keys, marked = family
+    kept, _ = _capped(keys, cap)
+    route = "family" if kept.any() else "enum"
+    if route == "family":
+        sets, keys = sets[kept], keys[kept]
+    inside = int(alive[added_uv].all(axis=1).sum())
+    row, _ = _sparsest(keys, marked, inside, cap if route == "family" else None)
+    return route, tuple(sets[row].tolist())
 
 
 def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:

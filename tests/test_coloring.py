@@ -25,7 +25,7 @@ from chromres import (
     union,
     verify_coloring,
 )
-from chromres import coloring as coloring_module
+from chromres import coloring as coloring_module, isets
 from conftest import brute_chromatic, brute_colorable, path, petersen, verify_coloring_reference
 
 
@@ -331,22 +331,21 @@ def test_ladder_starts_at_proven_alpha_bound(monkeypatch):
     added = plant_clique(base, range(22))
     calls = []  # (size, k, found) for every ladder step, fresh or restricted
     fresh = []  # k of every fresh enumeration
-    real = coloring_module._enumerate_sets
-    real_restricted = coloring_module._restricted
+    real = isets._enumerate_sets
+    real_family = coloring_module._family
 
     def spy(rows, within, k, *args, **kwargs):
         sets = real(rows, within, k, *args, **kwargs)
-        calls.append((within.bit_count(), k, len(sets)))
         fresh.append(k)
         return sets
 
-    def restricted_spy(sets, alive):
-        rows = real_restricted(sets, alive)
-        calls.append((int(alive.sum()), sets.shape[1], int(rows.sum())))
-        return rows
+    def family_spy(rows, within, alive, added_uv, k, node_budget, last):
+        family, cache = real_family(rows, within, alive, added_uv, k, node_budget, last)
+        calls.append((within.bit_count(), k, family is not None))
+        return family, cache
 
-    monkeypatch.setattr(coloring_module, "_enumerate_sets", spy)
-    monkeypatch.setattr(coloring_module, "_restricted", restricted_spy)
+    monkeypatch.setattr(isets, "_enumerate_sets", spy)
+    monkeypatch.setattr(coloring_module, "_family", family_spy)
     _, trace = strip_color(base, added, 1.0, build_profile(150, 0.5, 1.0))
     # later rounds at a size already enumerated filter that family
     assert len(fresh) == len(set(fresh))

@@ -9,9 +9,10 @@ family raises where the family's own size does not. Every set is a leaf of
 the tree below a root that holds none, so a family is always smaller than N:
 a set limit at or above the node budget can never trip first.
 
-strip_color filters a family, an array of sets enumerated on a remainder S,
-to each later remainder S' inside it (isets._restricted) instead of
-enumerating again: that must give the fresh family of S', and a budget that
+strip_color's ladder gets a family from isets._family, which filters the
+family it found on a remainder S to each later remainder S' inside it
+instead of enumerating again: that must give the fresh family of S', with a
+pair index that marks the same added pairs in each set, and a budget that
 passes on S must pass on S', because the DFS tree on S' is a subtree of the
 one on S.
 """
@@ -237,23 +238,39 @@ def test_threads_share_no_state():
 @given(st.integers(0, 2**32 - 1))
 def test_restriction_equals_fresh_enumeration(seed):
     # a chain S ⊇ S' ⊇ S'' of masks of G(n <= 40), each restricted from the
-    # last restriction, as strip_color does over its rounds
+    # last restriction, as strip_color does over its rounds, with up to 3n
+    # added pairs for the pair index to mark
     rng = random.Random(seed)
     n = rng.randint(1, 40)
     g = generate_gnp(GnpParams(n, rng.choice([0.1, 0.3, 0.5, 0.8]), rng.randrange(1000)))
     chain = [rng.getrandbits(n)]
     for _ in range(2):
         chain.append(chain[-1] & ~mask_of(rng.sample(range(n), rng.randint(1, min(4, n)))))
+    pairs = sorted({tuple(sorted(rng.sample(range(n), 2)))
+                    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0)})
+    added_uv = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+
+    def family(within, k, last):
+        """isets._family's cache, the family found empty or not."""
+        alive = np.array([(within >> v) & 1 for v in range(n)], bool)
+        return isets._family(g.rows, within, alive, added_uv, k, None, last)[1]
+
+    def marked_per_set(cache):
+        _, keys, marked = cache
+        return marked[keys].sum(axis=1).tolist()
+
     for k in rng.sample(range(1, 6), 3):
-        sets = isets._enumerate_sets(g.rows, chain[0], k)
-        assert tuple(map(tuple, sets.tolist())) == enumerate_isets(g, k, within=chain[0]).sets
+        cache = family(chain[0], k, None)
+        assert tuple(map(tuple, cache[0].tolist())) == enumerate_isets(g, k, within=chain[0]).sets
         budget = _smallest_budget(g, k, chain[0])
         for within in chain[1:]:
-            sets = sets[isets._restricted(sets, np.array([(within >> v) & 1 for v in range(n)], bool))]
+            cache = family(within, k, cache)
+            sets = cache[0]
             fresh = enumerate_isets(g, k, within=within)
             assert sets.shape[1] == k
             assert tuple(map(tuple, sets.tolist())) == fresh.sets
             assert isets._coverage(isets._pair_keys(sets, n), n) == fresh.coverage
             assert [mask_of(s) for s in sets.tolist()] == [mask_of(s) for s in fresh.sets]
+            assert marked_per_set(cache) == marked_per_set(family(within, k, None))
             assert not _raises(enumerate_isets, g, k, node_budget=budget, within=within)
             assert not _raises(enumerate_isets, g, k, limit=len(fresh), within=within)

@@ -256,9 +256,10 @@ def test_strip_color_reads_added_pairs_once():
 
 
 def test_coloring_leaves_pair_keys_to_isets():
-    """A family's pair index is built in isets (_indexed), beside the cap
-    and the pick that read it; coloring neither imports nor calls
-    _pair_keys, so the key layout lives in one module."""
+    """A stripping round gets its family from isets._family and picks from
+    it with isets._sparse_pick, so a family's arrays and pair index are one
+    module's business: coloring neither imports nor names the helpers that
+    enumerate, key, cap or pick a family."""
     path = os.path.join(SRC, "chromres", "coloring.py")
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
@@ -266,7 +267,8 @@ def test_coloring_leaves_pair_keys_to_isets():
                 for alias in node.names]
     named = [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
-    assert "_pair_keys" not in imported + named
+    helpers = {"_pair_keys", "_capped", "_sparsest", "_enumerate_sets"}
+    assert not helpers & set(imported + named), sorted(helpers & set(imported + named))
 
 
 def test_cap_and_pick_do_not_sort():
