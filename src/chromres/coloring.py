@@ -455,32 +455,26 @@ class StripKnobs:
 class ColoringTrace:
     """Per-phase accounting of the stripping procedure.
 
-    bucket_counts[i-1] counts colors spent while the remainder size lay in
-    (2^-i n, 2^-i+1 n]; residual_colors counts the final small-residue phase.
-    Their sum is always the total number of colors. rounds holds one
-    (size, k_target, route, set_size, planted) record per strip; routes are
-    "family" (capped family), "enum" (cap emptied the family, plain
-    enumeration used), "exact-alpha" (enumeration blew its budget, one
-    maximum independent set taken instead) and "greedy" (remainder too large
-    for anything but the minimum-degree strip).
+    rounds, the one per-round record, holds (size, k_target, route,
+    set_size, planted) per strip; routes are "family" (capped family),
+    "enum" (cap emptied the family), "exact-alpha" (one maximum independent
+    set) and "greedy" (the minimum-degree strip). bucket_counts[i-1] counts
+    the rounds whose size lay in (2^-i n, 2^-i+1 n]; residual_colors, the
+    final residue's colors, makes their sum the number of colors.
+    fidelity_flags holds "enumeration-budget@s=<size>" for each round whose
+    enumeration blew node_budget: that round is exact-alpha, or greedy when
+    max_independent_set refused s, while a greedy round with no flag found
+    no set or had s above family_size_limit.
     """
 
     bucket_counts: tuple[int, ...]
-    i0: int
     residual_colors: int
-    k_used: int
     residual_threshold: float
     fidelity_flags: tuple[str, ...] = ()
     rounds: tuple[tuple[int, int, str, int, int], ...] = ()
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def _bucket_index(n: int, s: int, i0: int) -> int:
-    # bucket i covers remainder sizes in (2^-i n, 2^-i+1 n]
-    i = math.floor(math.log2(n / s)) + 1
-    return min(max(i, 1), i0)
 
 
 def strip_color(base: Graph, added: EdgeSet, epsilon: float,
@@ -498,9 +492,9 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     to the greedy route. A round whose enumeration blows node_budget takes
     one exact maximum independent set when max_independent_set accepts s
     vertices at its default limit, and the greedy route when it raises
-    SizeLimitError; both are flagged in the trace. The residue is colored by
-    degeneracy_color on its mask of the union. ValueError unless epsilon is
-    positive and finite.
+    SizeLimitError; the trace flags the blown enumeration. The residue is
+    colored by degeneracy_color on its mask of the union. ValueError unless
+    epsilon is positive and finite.
 
     S is held as a bitmask over the original vertex labels and every search,
     the residue's coloring included, runs on that mask of base or of the
@@ -527,8 +521,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     full = union(base, added)
     threshold = (n / (math.log(n) ** 2) if knobs.variant == "local"
                  else _residual_threshold(n, p, epsilon))
-    i0 = math.ceil(math.log2(max(1.0, n / threshold)))  # 0 unless threshold < n
-    buckets = [0] * i0
     flags: list[str] = []
     rounds: list[tuple[int, int, str, int, int]] = []
     added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
@@ -575,7 +567,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                     with contextlib.suppress(SizeLimitError):
                         chosen = max_independent_set(base, within=remaining)
                         route = "exact-alpha"
-                        flags.append(f"exact-alpha-fallback@s={s}")
                     break
                 if fam is not None:
                     break
@@ -585,10 +576,8 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                 _, log_mu0 = expected_counts(s, p, k_try)
                 route, chosen = _sparse_pick(fam, CAP_MULTIPLIER * math.exp(log_mu0),
                                              alive, added_uv)
-        if route == "greedy":
-            flags.append(f"greedy-fallback@s={s}")
-            if chosen is None:
-                chosen = _turan(base, remaining, words)
+        if chosen is None:  # a greedy round that skipped its sizing extract
+            chosen = _turan(base, remaining, words)
         chosen_mask = mask_of(chosen)
         # chosen is independent in base: its edges in full are added pairs
         planted = _edges_inside(full, chosen_mask)
@@ -600,7 +589,6 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
         for v in final:
             colors[v] = next_color
         next_color += 1
-        buckets[_bucket_index(n, s, i0) - 1] += 1
         rounds.append((s, k_target, route, len(final), planted))
         remaining &= ~mask_of(final)
 
@@ -612,11 +600,13 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
     coloring = Coloring(tuple(colors), next_color)
     if not verify_coloring(full, coloring):
         raise AssertionError("stripping produced an improper coloring")
+    # threshold < s <= n puts each round in a bucket (see ColoringTrace)
+    buckets = [0] * math.ceil(math.log2(max(1.0, n / threshold)))
+    for s, *_ in rounds:
+        buckets[min(math.floor(math.log2(n / s)), len(buckets) - 1)] += 1
     trace = ColoringTrace(
         bucket_counts=tuple(buckets),
-        i0=i0,
         residual_colors=residual_colors,
-        k_used=rounds[0][1] if rounds else 0,
         residual_threshold=threshold,
         fidelity_flags=tuple(flags),
         rounds=tuple(rounds),

@@ -436,8 +436,6 @@ def strip_color_reference(base: Graph, added: EdgeSet, epsilon: float,
     full = union(base, added)
     threshold = (n / (math.log(n) ** 2) if knobs.variant == "local"
                  else epsilon * n / (16.0 * math.log(n * p)))
-    i0 = max(0, math.ceil(math.log2(n / threshold))) if threshold < n else 0
-    buckets = [0] * i0
     flags: list[str] = []
     rounds = []
     colors = [-1] * n
@@ -458,7 +456,6 @@ def strip_color_reference(base: Graph, added: EdgeSet, epsilon: float,
                     if s <= 120:
                         chosen = max_independent_set_reference(base, 120, within=remaining)
                         route = "exact-alpha"
-                        flags.append(f"exact-alpha-fallback@s={s}")
                     break
                 if sets:
                     fam = IsetFamily(k=k_try, sets=tuple(sets), coverage=coverage_reference(sets))
@@ -472,16 +469,12 @@ def strip_color_reference(base: Graph, added: EdgeSet, epsilon: float,
                 inside = EdgeSet(frozenset(
                     (u, v) for u, v in added.pairs if (remaining >> u) & 1 and (remaining >> v) & 1))
                 chosen, _ = sparse_iset_reference(fam, inside)
-        if route == "greedy":
-            flags.append(f"greedy-fallback@s={s}")
         planted = sum(full.has_edge(u, v) for u, v in combinations(chosen, 2))
         chosen_mask = sum(1 << v for v in chosen)
         final = _greedy_strip_reference(full, chosen_mask)
         for v in final:
             colors[v] = next_color
         next_color += 1
-        if i0 > 0:
-            buckets[min(max(math.floor(math.log2(n / s)) + 1, 1), i0) - 1] += 1
         rounds.append((s, k_target, route, len(final), planted))
         remaining &= ~sum(1 << v for v in final)
     residual_colors = 0
@@ -492,11 +485,12 @@ def strip_color_reference(base: Graph, added: EdgeSet, epsilon: float,
             colors[v] = next_color + res.colors[i]
         residual_colors = res.num_colors
         next_color += residual_colors
+    buckets = [0] * (math.ceil(math.log2(n / threshold)) if threshold < n else 0)
+    for s, *_ in rounds:
+        buckets[min(math.floor(math.log2(n / s)), len(buckets) - 1)] += 1
     trace = ColoringTrace(
         bucket_counts=tuple(buckets),
-        i0=i0,
         residual_colors=residual_colors,
-        k_used=rounds[0][1] if rounds else 0,
         residual_threshold=threshold,
         fidelity_flags=tuple(flags),
         rounds=tuple(rounds),

@@ -275,7 +275,7 @@ class TestStripColor:
         base = gnp(20, 0.5, 0)
         coloring, trace = strip_color(base, NO_EDGES, epsilon, build_profile(20, 0.5, 1.0))
         assert trace.residual_threshold > 20
-        assert trace.i0 == 0 and trace.bucket_counts == () and trace.rounds == ()
+        assert trace.bucket_counts == () and trace.rounds == ()
         assert trace.residual_colors == coloring.num_colors
         assert coloring == degeneracy_color(base)[0]
 
@@ -285,7 +285,7 @@ class TestStripColor:
         knobs = StripKnobs(family_size_limit=0)  # force the greedy route
         coloring, trace = strip_color(base, NO_EDGES, 1.0, profile, knobs)
         assert verify_coloring(base, coloring)
-        assert any(flag.startswith("greedy-fallback") for flag in trace.fidelity_flags)
+        assert trace.fidelity_flags == ()
         assert all(route == "greedy" for _, _, route, _, _ in trace.rounds)
 
     def test_exact_alpha_fallback_when_enumeration_blows(self):
@@ -295,9 +295,9 @@ class TestStripColor:
         knobs = StripKnobs(node_budget=10)  # enumeration can never finish
         coloring, trace = strip_color(base, added, 1.0, profile, knobs)
         assert verify_coloring(union(base, added), coloring)
-        assert any(route == "exact-alpha" for _, _, route, _, _ in trace.rounds)
-        assert any(flag.startswith("exact-alpha-fallback")
-                   for flag in trace.fidelity_flags)
+        sizes = [s for s, _, route, _, _ in trace.rounds if route == "exact-alpha"]
+        assert sizes
+        assert all(f"enumeration-budget@s={s}" in trace.fidelity_flags for s in sizes)
 
     def test_blown_enumeration_above_the_alpha_limit_goes_greedy(self):
         # max_independent_set refuses the 130- and 121-vertex remainders with
@@ -310,19 +310,22 @@ class TestStripColor:
         assert verify_coloring(base, coloring)
         assert [(s, route) for s, _, route, _, _ in trace.rounds[:3]] == \
             [(130, "greedy"), (121, "greedy"), (112, "exact-alpha")]
-        assert trace.fidelity_flags[:6] == (
-            "enumeration-budget@s=130", "greedy-fallback@s=130",
-            "enumeration-budget@s=121", "greedy-fallback@s=121",
-            "enumeration-budget@s=112", "exact-alpha-fallback@s=112")
+        assert trace.fidelity_flags[:3] == (
+            "enumeration-budget@s=130", "enumeration-budget@s=121",
+            "enumeration-budget@s=112")
 
     def test_trace_json(self):
         base = gnp(30, 0.5, 1)
         profile = build_profile(30, 0.5, 1.0)
         _, trace = strip_color(base, NO_EDGES, 1.0, profile)
         d = trace.to_json()
-        assert d["i0"] == trace.i0
+        assert list(d) == ["bucket_counts", "residual_colors", "residual_threshold",
+                           "fidelity_flags", "rounds"]
         assert sum(d["bucket_counts"]) + d["residual_colors"] == \
             sum(trace.bucket_counts) + trace.residual_colors
+        # one bucket per halving of n down to the residual threshold
+        assert trace.rounds
+        assert len(trace.bucket_counts) == math.ceil(math.log2(30 / trace.residual_threshold))
 
 
 def test_ladder_starts_at_proven_alpha_bound(monkeypatch):

@@ -55,6 +55,11 @@ DRAWS_PER_N = 12
 # Draws of the 60 whose audit finds a violation: the seeded draws give 11,
 # so the violation count among the invariants is a real search.
 AUDIT_VIOLATIONS = 11
+# Draws of the 60 with a global value at cap chi + 1 (the seeded draws give
+# 57), and (draw, cap) cases whose global value is at most DELTA_MAX (93), so
+# that both halves of the monotonicity test compare values.
+LIFTED_AT_CHI_PLUS_1 = 57
+LOCAL_BOUNDED = 93
 
 
 def _invariants(g: Graph) -> tuple:
@@ -112,6 +117,32 @@ def test_searches_are_invariant_under_relabelling():
             violated.append(invariants[-1] > 0)
     assert len(violated) == 5 * DRAWS_PER_N
     assert sum(violated) >= AUDIT_VIOLATIONS
+
+
+def test_values_rise_with_the_cap_and_local_stays_below_global():
+    """On the relabelled draws' g at caps chi and chi + 1, with None read as
+    +inf: neither value falls as the cap rises, and a global value
+    m <= DELTA_MAX bounds the local value by m, since an m-pair addition has
+    maximum degree at most m."""
+    lifted = bounded = 0
+    for n in range(5, 10):
+        for i, (g, _) in enumerate(_relabelled(n)):
+            chi = chromatic_exact(g)
+            caps = (chi, chi + 1)
+            glob = [_value(global_resilience_witness(g, cap, M_MAX)) for cap in caps]
+            local = [_value(local_resilience_witness(g, cap, DELTA_MAX)) for cap in caps]
+            assert glob[0] <= glob[1] and local[0] <= local[1], f"draw {i} at n={n}"
+            for m, delta in zip(glob, local):
+                if m <= DELTA_MAX:
+                    assert delta <= m, f"draw {i} at n={n}"
+                    bounded += 1
+            lifted += glob[1] < float("inf")
+    assert lifted >= LIFTED_AT_CHI_PLUS_1 and bounded >= LOCAL_BOUNDED
+
+
+def _value(hit) -> float:
+    value = witness_value(hit)
+    return float("inf") if value is None else value
 
 
 def test_audit_checks_sizes_at_every_n_above_five():

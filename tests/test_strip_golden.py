@@ -1,9 +1,10 @@
 """Golden digests of strip_color outputs.
 
 tests/data/strip_golden.json holds, for each instance below, SHA-256
-digests of the coloring, the round records, the fidelity flags and the
-bucket counts. Any change to the stripping core must leave them
-bit-identical. To re-record after an intended output change:
+digests of the coloring, the round records, the fidelity flags (one
+enumeration-budget flag per blown enumeration) and the bucket counts. Any
+change to the stripping core must leave them bit-identical. To re-record
+after an intended output change:
 
     PYTHONPATH=src python tests/test_strip_golden.py
 """
