@@ -28,10 +28,7 @@ from .graph import (
     union,
 )
 from .isets import _SET_LIMIT, enumerate_isets, uniform_family
-from .lab import STRATEGIES, density_audit, parse_config, run_experiment
-
-# The one parameter each attack strategy reads, named as its flag
-_STRATEGY_KEYS = {"plant_clique": "t", "random_budget": "m", "bounded_degree": "delta"}
+from .lab import _STRATEGY_KEYS, STRATEGIES, density_audit, parse_config, run_experiment
 
 
 def _cmd_generate(args) -> int:

@@ -17,9 +17,8 @@ operations per slice instead of a loop over the neighbours. strip_color
 builds a proper coloring of base+added by repeatedly pulling a
 nearly-maximal independent set of the base graph that contains few added
 pairs, refining it to an independent set of the union, and spending one
-color on it; the small residue is finished with the degeneracy coloring. A
-round gets its family and picks from it through isets (_family and
-_sparse_pick), which alone know a family's arrays and pair index.
+color on it; the small residue is finished with the degeneracy coloring.
+A call's search state, arrays included, belongs to one isets._StripSearch.
 """
 
 from __future__ import annotations
@@ -30,21 +29,16 @@ import random
 from dataclasses import dataclass, asdict
 from typing import Optional
 
-import numpy as np
-
-from . import isets
 from .analytics import (CAP_MULTIPLIER, AnalyticProfile, _residual_threshold, compute_k0,
                         expected_counts)
 # induced_subgraph is no longer called here; the name stays bound because
 # perfbench's tracer selftest checks that it patches this binding too
-from .graph import (EdgeSet, Graph, _bits, _count, _edges_inside, _members, _real, _words,
-                    induced_subgraph, mask_of, union)  # noqa: F401
+from .graph import (EdgeSet, Graph, _count, _edges_inside, _members, _real, induced_subgraph,
+                    mask_of, union)  # noqa: F401
 from .isets import (
     EnumerationLimitError,
     SizeLimitError,
-    _family,
-    _sparse_pick,
-    _turan,
+    _StripSearch,
     _within,
     max_independent_set,
     min_degree_vertex,
@@ -484,8 +478,7 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     Each round, on the remaining vertex set S (|S| = s > residual threshold):
     enumerate the independent sets of base[S] of the working size (laddered
-    down until non-empty, and started below any size an earlier ladder of
-    the call found empty), cap their pair coverage at CAP_MULTIPLIER * mu0
+    down until non-empty), cap their pair coverage at CAP_MULTIPLIER * mu0
     of S, pick the member with the fewest added pairs inside, keep its
     largest union-independent subset via the greedy bound, and spend a fresh
     color on it. Rounds whose remainder exceeds family_size_limit fall back
@@ -498,19 +491,10 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
 
     S is held as a bitmask over the original vertex labels and every search,
     the residue's coloring included, runs on that mask of base or of the
-    union, never on a relabelled copy. A ladder step gets its family from
-    isets._family, which enumerates it, or filters the family the last step
-    found when that one has its size: that gives the fresh enumeration's
-    sets, order and limit trips. isets._sparse_pick caps the family and
-    picks its member.
-
-    A round's sizing extract, the greedy set of base[S] whose size can raise
-    k_target, picks on a word matrix of base's rows built once per call when
-    n > isets._WIDE_PICK, as no narrower mask picks on it (see
-    isets.min_degree_vertex), which gives the scan's picks. A round that
-    may enumerate skips it while alpha_bound <= max(profile.k, k0(s)): the
-    set is independent, so its size is at most alpha(S) <= alpha_bound and
-    it cannot raise k_target; the round runs it only if it ends greedy.
+    union, never on a relabelled copy. The sizing extract, the ladder and
+    the pick run on the call's isets._StripSearch; a family round skips the
+    extract while its alpha bound is at most max(profile.k, k0(s)), and
+    runs it only if it ends greedy.
     """
     _real("epsilon", epsilon)
     if profile.k0 is None or profile.k is None:
@@ -523,61 +507,38 @@ def strip_color(base: Graph, added: EdgeSet, epsilon: float,
                  else _residual_threshold(n, p, epsilon))
     flags: list[str] = []
     rounds: list[tuple[int, int, str, int, int]] = []
-    added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
-    # the sizing extract's picks; no mask of at most _WIDE_PICK members uses it
-    words = _words(_bits(base.rows, ((n + 63) >> 6) << 3)) if n > isets._WIDE_PICK else None
+    search = _StripSearch(base, added, knobs.node_budget)
 
     colors: list[int] = [-1] * n
     next_color = 0
     remaining = (1 << n) - 1
-    # An empty enumeration at k proves alpha <= k - 1 for this and every
-    # later remainder (S only shrinks), so each ladder starts at this bound.
-    # The steps it skips hold no set, and each visits no more nodes than the
-    # empty step that proved the bound, which stayed within node_budget: no
-    # skipped step could have tripped a limit either.
-    alpha_bound = n
-    # what the last step that ran without error found, which a later step at
-    # its k filters to S instead of enumerating (see isets._family)
-    cached = None
 
     while remaining and (s := remaining.bit_count()) > threshold:
         family_round = s <= knobs.family_size_limit
         k_target = max(profile.k, compute_k0(s, p, theta) or 1)
-        # The greedy set is independent, so its size is at most alpha(S) <=
-        # alpha_bound: once that bound is down to k_target, the set cannot
-        # raise it, and a family round takes it only if it ends greedy.
         chosen: Optional[tuple[int, ...]] = None
-        if not family_round or alpha_bound > k_target:
-            chosen = _turan(base, remaining, words)
+        # skipped, the greedy set would have at most alpha(S) <= alpha_bound <= k_target members
+        if not family_round or search.alpha_bound > k_target:
+            chosen = search.turan(remaining)
             k_target = max(k_target, len(chosen))
         k_target = min(k_target, s)
 
         route = "greedy"
         if family_round:
-            fam = None
-            alive = _bits([remaining], (n + 7) >> 3)[0]
-            k_try = min(k_target, alpha_bound)
-            while k_try >= 2:
-                try:
-                    fam, cached = _family(base.rows, remaining, alive, added_uv, k_try,
-                                          knobs.node_budget, cached)
-                except EnumerationLimitError:
-                    flags.append(f"enumeration-budget@s={s}")
-                    # the family is out of reach but one maximum set may not be
-                    with contextlib.suppress(SizeLimitError):
-                        chosen = max_independent_set(base, within=remaining)
-                        route = "exact-alpha"
-                    break
-                if fam is not None:
-                    break
-                k_try -= 1
-                alpha_bound = k_try
-            if fam is not None:
-                _, log_mu0 = expected_counts(s, p, k_try)
-                route, chosen = _sparse_pick(fam, CAP_MULTIPLIER * math.exp(log_mu0),
-                                             alive, added_uv)
+            try:
+                k = search.ladder(remaining, k_target)
+            except EnumerationLimitError:
+                k = None
+                flags.append(f"enumeration-budget@s={s}")
+                # the family is out of reach but one maximum set may not be
+                with contextlib.suppress(SizeLimitError):
+                    chosen = max_independent_set(base, within=remaining)
+                    route = "exact-alpha"
+            if k is not None:
+                _, log_mu0 = expected_counts(s, p, k)
+                route, chosen = search.pick(CAP_MULTIPLIER * math.exp(log_mu0))
         if chosen is None:  # a greedy round that skipped its sizing extract
-            chosen = _turan(base, remaining, words)
+            chosen = search.turan(remaining)
         chosen_mask = mask_of(chosen)
         # chosen is independent in base: its edges in full are added pairs
         planted = _edges_inside(full, chosen_mask)

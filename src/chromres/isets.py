@@ -31,20 +31,19 @@ degree inside the mask. min_degree_vertex has two strategies for that pick:
 it scans the members one at a time, or, given the rows as a uint64 word
 matrix (graph._words) and a mask of more than _WIDE_PICK members, it counts
 every degree with one popcount over the matrix and takes the first minimum
-among the members. Both give the same vertex. strip_color's sizing extract
-uses the matrix; turan_extract, the union refinement, the degeneracy coloring
-and the maximum independent set's start scan.
+among the members. Both give the same vertex. Only _StripSearch's sizing
+extracts pick on the matrix; every other pick scans.
 
 A family is one (m, k) array of labels, a set per row, from enumeration
 through stripping. The cap and the sparse pick run on a pair index, each
 row's pairs as integers >= 0 that no other pair shares: the cap counts them
 with one bincount, the pick looks them up in a bool table of marked pairs,
-and neither sorts. strip_color's rounds reach a family only through
-_family, which builds its index or filters it to a later remainder, and
-_sparse_pick. uniform_family and sparse_iset number their distinct pairs
-with one np.unique. The public functions wrap these helpers and alone build
-tuples and the coverage dict, whose pairs _coverage reads from int64 label
-keys u * n + v.
+and neither sorts. A strip_color call keeps its search state in one
+_StripSearch, which builds a family's index or filters it to a later
+remainder, caps it and picks from it. uniform_family and sparse_iset number
+their distinct pairs with one np.unique. The public functions wrap these
+helpers and alone build tuples and the coverage dict, whose pairs _coverage
+reads from int64 label keys u * n + v.
 """
 
 from __future__ import annotations
@@ -285,8 +284,7 @@ def turan_extract(g: Graph, within: Optional[int] = None) -> tuple[int, ...]:
     g): repeatedly take a minimum-degree vertex (the lowest label among
     ties) and delete its closed neighborhood. Guarantees size >= s^2/(2e+s)
     for the s vertices and e edges inside `within`. The picks scan the
-    members; strip_color runs the same loop with the word matrix for its
-    sizing extract, and its picks are the same."""
+    members."""
     return _turan(g, _vertex_mask(g, within))
 
 
@@ -538,48 +536,81 @@ def enumerate_isets(g: Graph, k: int, limit: int = _SET_LIMIT,
                       coverage=_coverage(_pair_keys(sets, g.n), g.n))
 
 
-def _family(rows: tuple[int, ...], within: int, alive: np.ndarray, added_uv: np.ndarray,
-            k: int, node_budget: Optional[int], last):
-    """(family, cache) for the independent k-sets of the remainder S, the
-    mask `within` and bool label array `alive`; family is None when there
-    are none, and cache, empty or not, is the next call's `last`.
-    EnumerationLimitError past node_budget.
+class _StripSearch:
+    """One strip_color call's search state, shared by its rounds: the base's
+    rows as a word matrix (graph._words) for the sizing extracts, built only
+    when n > _WIDE_PICK as no narrower mask picks on it (min_degree_vertex
+    makes its picks the scan's), the added pairs as an (m, 2) array, a bound
+    on the remainder's independence number and the last family a step found.
+    Every argument below rests on the remainder S only shrinking.
 
-    A family is its (m, k) label array with its pair index: keys, each row's
-    pairs as i * s0 + j for positions in the remainder S0 it was enumerated
-    on (_pair_keys), and marked, a table over the s0 * s0 keys that sets the
-    added pairs inside S0. When `last` holds k-sets of S0 ⊇ S, its rows in S
-    are kept instead: S's k-sets in the same order, and since the DFS tree
-    on S is a subtree of S0's, no limit trips that did not on S0."""
-    if last is not None and last[0].shape[1] == k:
-        sets, keys, marked = last
-        inside = alive[sets].all(axis=1)
-        cache = sets[inside], keys[inside], marked
-    else:
-        sets = _enumerate_sets(rows, within, k, node_budget=node_budget)
-        rank = np.cumsum(alive) - 1  # a member label's position in S0
-        s0 = int(rank[-1]) + 1
-        uv = rank[added_uv[alive[added_uv].all(axis=1)]]
-        marked = np.zeros(s0 * s0, dtype=bool)
-        marked[uv[:, 0] * s0 + uv[:, 1]] = True
-        cache = sets, _pair_keys(rank[sets], s0), marked
-    return (cache if len(cache[0]) else None), cache
+    An empty ladder step at k proves alpha <= k - 1 for S and every later
+    remainder, so it lowers alpha_bound, which also bounds the size of a
+    sizing extract. The steps later ladders skip hold no set, and each
+    visits no more nodes than the empty step that proved the bound within
+    node_budget, so none could have tripped a limit.
 
+    last, what the last step that ran without error found, is (sets, keys,
+    marked): the (m, k) label array, each row's pairs as i * s0 + j for
+    positions in the remainder S0 it was enumerated on, and a table over the
+    s0 * s0 keys that sets the added pairs inside S0. A step at last's size
+    keeps its rows inside S instead of enumerating: S's k-sets in the same
+    order, and since the DFS tree on S is a subtree of S0's, no limit trips
+    that did not on S0. pick caps the family and takes a member.
+    """
 
-def _sparse_pick(family, cap: float, alive: np.ndarray,
-                 added_uv: np.ndarray) -> tuple[str, tuple[int, ...]]:
-    """(route, set): the first member of a non-empty _family with the fewest
-    added pairs, picked on route "family" from the family capped at `cap`,
-    or on route "enum" from all of it when the cap empties it. The family
-    route checks the averaging bound on the added pairs inside `alive`."""
-    sets, keys, marked = family
-    kept, _ = _capped(keys, cap)
-    route = "family" if kept.any() else "enum"
-    if route == "family":
-        sets, keys = sets[kept], keys[kept]
-    inside = int(alive[added_uv].all(axis=1).sum())
-    row, _ = _sparsest(keys, marked, inside, cap if route == "family" else None)
-    return route, tuple(sets[row].tolist())
+    def __init__(self, base: Graph, added: EdgeSet, node_budget: Optional[int]) -> None:
+        n = base.n
+        self.base, self.node_budget = base, node_budget
+        self.added_uv = np.array(sorted(added.pairs), dtype=np.int64).reshape(added.m, 2)
+        self.words = _words(_bits(base.rows, ((n + 63) >> 6) << 3)) if n > _WIDE_PICK else None
+        self.alpha_bound = n
+        self.last = None
+        self.alive = None  # S as a bool label array
+
+    def turan(self, within: int) -> tuple[int, ...]:
+        """turan_extract's set of the mask `within`, picked on the word matrix."""
+        return _turan(self.base, within, self.words)
+
+    def ladder(self, within: int, k: int) -> Optional[int]:
+        """The first size from min(k, alpha_bound) down to 2 with independent
+        sets in the mask `within`, whose family it leaves in last, or None;
+        EnumerationLimitError past node_budget."""
+        self.alive = _bits([within], (self.base.n + 7) >> 3)[0]
+        for size in range(min(k, self.alpha_bound), 1, -1):
+            if self._step(within, size):
+                return size
+            self.alpha_bound = size - 1
+        return None
+
+    def _step(self, within: int, k: int) -> int:
+        """The number of independent k-sets of S, which it leaves in last."""
+        if self.last is not None and self.last[0].shape[1] == k:
+            sets, keys, marked = self.last
+            inside = self.alive[sets].all(axis=1)
+            self.last = sets[inside], keys[inside], marked
+        else:
+            sets = _enumerate_sets(self.base.rows, within, k, node_budget=self.node_budget)
+            rank = np.cumsum(self.alive) - 1  # a member label's position in S0
+            s0 = int(rank[-1]) + 1
+            uv = rank[self.added_uv[self.alive[self.added_uv].all(axis=1)]]
+            marked = np.zeros(s0 * s0, dtype=bool)
+            marked[uv[:, 0] * s0 + uv[:, 1]] = True
+            self.last = sets, _pair_keys(rank[sets], s0), marked
+        return len(self.last[0])
+
+    def pick(self, cap: float) -> tuple[str, tuple[int, ...]]:
+        """(route, set): the ladder's family's first member with the fewest
+        added pairs, on route "family" from the family capped at `cap` (the
+        averaging bound checked), or "enum" from all of it if that is empty."""
+        sets, keys, marked = self.last
+        kept, _ = _capped(keys, cap)
+        route = "family" if kept.any() else "enum"
+        if route == "family":
+            sets, keys = sets[kept], keys[kept]
+        inside = int(self.alive[self.added_uv].all(axis=1).sum())
+        row, _ = _sparsest(keys, marked, inside, cap if route == "family" else None)
+        return route, tuple(sets[row].tolist())
 
 
 def uniform_family(family: IsetFamily, cap: float) -> IsetFamily:

@@ -86,7 +86,7 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
     lexicographic order, walked as a DFS that carries each prefix's edge
     count, and sampled ones in the order drawn. ValueError unless 0 < p < 1,
     np > 1, epsilon is positive and finite, and samples and seed are counts
-    (samples >= 1 in sampled mode).
+    (samples >= 1 in sampled mode and 0 in exhaustive mode, which draws none).
     """
     n = g.n
     _real("p", p, 1.0)
@@ -94,6 +94,8 @@ def density_audit(g: Graph, p: float, epsilon: float, mode: str = "exhaustive",
         raise ValueError("density audit needs np > 1")
     _real("epsilon", epsilon)
     _count("samples", samples, 1 if mode == "sampled" else 0)
+    if mode == "exhaustive" and samples:
+        raise ValueError(f"samples must be 0 in exhaustive mode, got {samples}")
     _count("seed", seed)
     log_np = math.log(n * p)
     s_max = math.floor(analytics._residual_threshold(n, p, epsilon))
@@ -235,7 +237,12 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: the cartesian product of n_list x p_list x seeds x one strategy."""
+    """One sweep: the cartesian product of n_list x p_list x seeds x one strategy.
+
+    ValueError for a repeated n, p or seed, and for a strategy parameter
+    the strategy does not read or a required one that is missing (see
+    _STRATEGY_KEYS).
+    """
 
     n_list: tuple[int, ...]
     p_list: tuple[float, ...]
@@ -252,11 +259,21 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.n_list or not self.p_list or not self.seeds:
             raise ValueError("n_list, p_list and seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
+        for name, values in (("n_list", self.n_list), ("p_list", self.p_list),
+                             ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; "
                              f"choose from {sorted(STRATEGIES)}")
+        key = _STRATEGY_KEYS.get(self.strategy)
+        for name, _ in self.strategy_params:
+            if name != key:
+                raise ValueError(f"strategy {self.strategy!r} reads no strategy.{name}")
+        if len(self.strategy_params) > 1:
+            raise ValueError(f"strategy.{key} is repeated")
+        if key in _REQUIRED_KEYS and not self.strategy_params:
+            raise ValueError(f"strategy {self.strategy!r} needs strategy.{key}")
         _real("epsilon", self.epsilon)
         _real("theta", self.theta)
         for p in self.p_list:
@@ -287,7 +304,7 @@ def _strategy_none(g: Graph, params: dict, seed: int) -> EdgeSet:
 def _whole(key: str, value: float) -> int:
     """The strategy parameter `key` as an int; ValueError naming
     strategy.<key> unless the value is whole."""
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ValueError(f"strategy.{key} must be a whole number, got {value!r}")
     return int(value)
 
@@ -310,6 +327,13 @@ def _strategy_bounded_degree(g: Graph, params: dict, seed: int) -> EdgeSet:
     edges, _ = bounded_degree_h(g.n, _whole("delta", params["delta"]), seed)
     return edges
 
+
+# The one parameter each attack strategy reads, as its strategy.<key> config
+# line and as its `chromres attack` flag. run_row passes p too, for
+# plant_clique's default clique, so a config gives no strategy.p.
+_STRATEGY_KEYS = {"plant_clique": "t", "random_budget": "m", "bounded_degree": "delta"}
+# Those a config must give: a left-out t (read as 0) plants the default clique.
+_REQUIRED_KEYS = frozenset({"m", "delta"})
 
 STRATEGIES = {
     "none": _strategy_none,
@@ -344,8 +368,7 @@ def run_row(config: ExperimentConfig, n: int, p: float, seed: int) -> dict:
     started = time.perf_counter()
     try:
         base = generate_gnp(GnpParams(n, p, seed))
-        params = dict(config.params_dict())
-        params.setdefault("p", p)
+        params = config.params_dict() | {"p": p}
         strat_seed = derive_seed(seed, n, p, config.strategy)
         added = STRATEGIES[config.strategy](base, params, strat_seed)
         full = union(base, added)

@@ -25,7 +25,7 @@ from chromres import (
     union,
     verify_coloring,
 )
-from chromres import coloring as coloring_module, isets
+from chromres import isets
 from conftest import brute_chromatic, brute_colorable, path, petersen, verify_coloring_reference
 
 
@@ -335,20 +335,20 @@ def test_ladder_starts_at_proven_alpha_bound(monkeypatch):
     calls = []  # (size, k, found) for every ladder step, fresh or restricted
     fresh = []  # k of every fresh enumeration
     real = isets._enumerate_sets
-    real_family = coloring_module._family
+    real_step = isets._StripSearch._step
 
     def spy(rows, within, k, *args, **kwargs):
         sets = real(rows, within, k, *args, **kwargs)
         fresh.append(k)
         return sets
 
-    def family_spy(rows, within, alive, added_uv, k, node_budget, last):
-        family, cache = real_family(rows, within, alive, added_uv, k, node_budget, last)
-        calls.append((within.bit_count(), k, family is not None))
-        return family, cache
+    def step_spy(self, within, k):
+        found = real_step(self, within, k)
+        calls.append((within.bit_count(), k, found > 0))
+        return found
 
     monkeypatch.setattr(isets, "_enumerate_sets", spy)
-    monkeypatch.setattr(coloring_module, "_family", family_spy)
+    monkeypatch.setattr(isets._StripSearch, "_step", step_spy)
     _, trace = strip_color(base, added, 1.0, build_profile(150, 0.5, 1.0))
     # later rounds at a size already enumerated filter that family
     assert len(fresh) == len(set(fresh))

@@ -9,9 +9,9 @@ family raises where the family's own size does not. Every set is a leaf of
 the tree below a root that holds none, so a family is always smaller than N:
 a set limit at or above the node budget can never trip first.
 
-strip_color's ladder gets a family from isets._family, which filters the
-family it found on a remainder S to each later remainder S' inside it
-instead of enumerating again: that must give the fresh family of S', with a
+A ladder step of strip_color's isets._StripSearch filters the family it
+found on a remainder S to each later remainder S' inside it instead of
+enumerating again: that must give the fresh family of S', with a
 pair index that marks the same added pairs in each set, and a budget that
 passes on S must pass on S', because the DFS tree on S' is a subtree of the
 one on S.
@@ -29,7 +29,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromres import EnumerationLimitError, GnpParams, enumerate_isets, generate_gnp, isets
+from chromres import (EdgeSet, EnumerationLimitError, GnpParams, enumerate_isets, generate_gnp,
+                      isets)
 from chromres.graph import mask_of
 from conftest import count_dfs_nodes_reference, enumerate_sets_reference
 
@@ -246,14 +247,17 @@ def test_restriction_equals_fresh_enumeration(seed):
     chain = [rng.getrandbits(n)]
     for _ in range(2):
         chain.append(chain[-1] & ~mask_of(rng.sample(range(n), rng.randint(1, min(4, n)))))
-    pairs = sorted({tuple(sorted(rng.sample(range(n), 2)))
-                    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0)})
-    added_uv = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    added = EdgeSet(frozenset(tuple(sorted(rng.sample(range(n), 2)))
+                              for _ in range(rng.randint(0, 3 * n) if n > 1 else 0)))
 
     def family(within, k, last):
-        """isets._family's cache, the family found empty or not."""
-        alive = np.array([(within >> v) & 1 for v in range(n)], bool)
-        return isets._family(g.rows, within, alive, added_uv, k, None, last)[1]
+        """The family a _StripSearch step at k on `within` after `last`
+        leaves in last, found empty or not."""
+        search = isets._StripSearch(g, added, None)
+        search.last = last
+        search.alive = np.array([(within >> v) & 1 for v in range(n)], bool)
+        search._step(within, k)
+        return search.last
 
     def marked_per_set(cache):
         _, keys, marked = cache

@@ -143,6 +143,9 @@ CASES = {
     "density_audit.samples-sampled": (
         "samples", counts_below(1),
         lambda v: density_audit(Graph.empty(20), 0.3, 1.0, mode="sampled", samples=v)),
+    "density_audit.samples-exhaustive": (
+        "samples", st.integers(min_value=1),
+        lambda v: density_audit(Graph.empty(20), 0.3, 1.0, samples=v)),
     "density_audit.seed": ("seed", counts_below(),
                            lambda v: density_audit(Graph.empty(20), 0.3, 1.0, seed=v)),
     "concentration_sample.trials": ("trials", counts_below(),

@@ -316,6 +316,52 @@ class TestExperiment:
             ExperimentConfig(n_list=(5,), p_list=(0.5,), seeds=(1,),
                              strategy="nope")
 
+    @pytest.mark.parametrize("line, name", [
+        ("n=10,20,10\np=0.5\nseeds=1", "n_list"), ("n=10\np=0.5,0.3,0.50\nseeds=1", "p_list"),
+        ("n=10\np=0.5\nseeds=1,1", "seeds")])
+    def test_config_rejects_a_repeated_n_p_or_seed(self, line, name):
+        # a repeated n or p ran each of its rows twice
+        with pytest.raises(ValueError, match=f"^{name} must be distinct$"):
+            parse_config(line + "\n")
+
+    @pytest.mark.parametrize("strategy, key", [("random_budget", "m"),
+                                               ("bounded_degree", "delta")])
+    def test_config_needs_the_strategy_parameter(self, strategy, key):
+        # every row recorded KeyError: 'm'
+        with pytest.raises(ValueError, match=f"^strategy '{strategy}' needs strategy.{key}$"):
+            parse_config(f"n=12\np=0.5\nseeds=0\nstrategy={strategy}\n")
+
+    @pytest.mark.parametrize("strategy, line", [
+        ("none", "strategy.t=5"), ("none", "strategy.m=5"), ("plant_clique", "strategy.m=5"),
+        ("plant_clique", "strategy.p=0.3"), ("random_budget", "strategy.delta=2"),
+        ("bounded_degree", "strategy.t=5"), ("bounded_degree", "strategy.deltas=2")])
+    def test_config_rejects_a_strategy_parameter_it_does_not_read(self, strategy, line):
+        # the key was accepted and ignored; strategy.p overrode the row's p
+        # in plant_clique's default clique
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=f"^strategy '{strategy}' reads no {key}$"):
+            parse_config(f"n=12\np=0.5\nseeds=0\nstrategy={strategy}\n{line}\n")
+
+    def test_config_rejects_a_repeated_strategy_parameter(self):
+        # built directly, not parsed: the row ran with the last value while
+        # the config hash covered both
+        with pytest.raises(ValueError, match=r"^strategy\.m is repeated$"):
+            ExperimentConfig(n_list=(12,), p_list=(0.5,), seeds=(0,), strategy="random_budget",
+                             strategy_params=(("m", 1.0), ("m", 5.0)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_strategy_value_is_a_row_error_naming_the_key(self, value):
+        # built directly, not parsed: the row error read "cannot convert
+        # float NaN to integer"
+        config = ExperimentConfig(n_list=(12,), p_list=(0.5,), seeds=(0,),
+                                  strategy="random_budget", strategy_params=(("m", value),))
+        rows = run_experiment(config)
+        assert rows[0]["error"].startswith("ValueError: strategy.m must be a whole number")
+
+    def test_plant_clique_needs_no_t(self):
+        # t may be left out: the default clique
+        assert parse_config("n=12\np=0.5\nseeds=0\nstrategy=plant_clique\n").params_dict() == {}
+
     @pytest.mark.parametrize("p", [math.nan, 0.0, 1.0, 3.0])
     def test_config_rejects_p_outside_unit_interval(self, p):
         with pytest.raises(ValueError, match="p must lie strictly between 0 and 1"):
@@ -537,6 +583,28 @@ class TestCli:
             value_cfg.write_text(f"{values}\nseeds=0\n")
             assert cli_main(["experiment", str(value_cfg)]) == 1, values
         assert cli_main(["experiment", str(tmp_path / "missing.cfg")]) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=14\nstrategy=random_budget", "strategy 'random_budget' needs strategy.m"),
+        ("n=14\nstrategy.t=5", "strategy 'none' reads no strategy.t"),
+        ("n=14,14", "n_list must be distinct")])
+    def test_experiment_config_mistake_exits_1(self, tmp_path, capsys, text, message):
+        # a missing strategy.m failed every row and exited 2; the others ran
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{text}\np=0.5\nseeds=0\n")
+        assert cli_main(["experiment", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_audit_exhaustive_rejects_samples(self, tmp_path, capsys):
+        # the samples were ignored without a word
+        p = tmp_path / "g.txt"
+        assert cli_main(["generate", "--n", "18", "--p", "0.4", "--seed", "2",
+                         "--out", str(p)]) == 0
+        capsys.readouterr()
+        assert cli_main(["audit", str(p), "--p", "0.5", "--epsilon", "1", "--samples", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples must be 0 in exhaustive mode" in captured.err
 
     def test_experiment_unknown_variant_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bogus.cfg"

@@ -238,36 +238,54 @@ def _function(path: str, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def _pairs_reads(node: ast.AST) -> list[int]:
+    """Lines under node that read added.pairs."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr == "pairs"
+            and isinstance(n.value, ast.Name) and n.value.id == "added"]
+
+
 def test_strip_color_reads_added_pairs_once():
-    """strip_color turns the added pairs into arrays before its round loop;
-    a round that walks added.pairs again pays for every pair each round."""
+    """A stripping call turns the added pairs into an array once, when it
+    builds its isets._StripSearch: a round that walks added.pairs again pays
+    for every pair each round."""
     fn = _function(os.path.join(SRC, "chromres", "coloring.py"), "strip_color")
-
-    def reads(node: ast.AST) -> list[int]:
-        return [n.lineno for n in ast.walk(node)
-                if isinstance(n, ast.Attribute) and n.attr == "pairs"
-                and isinstance(n.value, ast.Name) and n.value.id == "added"]
-
     loops = [node for node in fn.body if isinstance(node, ast.While)]
     assert loops, "strip_color has no round loop"
-    inside = [line for loop in loops for line in reads(loop)]
+    inside = [line for loop in loops for line in _pairs_reads(loop)]
     assert not inside, f"added.pairs read inside the round loop at lines {inside}"
-    assert reads(fn), "strip_color no longer reads added.pairs at all"
+    path = os.path.join(SRC, "chromres", "isets.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    search = next((node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_StripSearch"), None)
+    assert search is not None, "isets has no _StripSearch"
+    reads = _pairs_reads(search)
+    init = next(node for node in search.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert len(reads) == 1 and reads == _pairs_reads(init), \
+        f"_StripSearch reads added.pairs at lines {reads}, not once in __init__"
 
 
 def test_coloring_leaves_pair_keys_to_isets():
-    """A stripping round gets its family from isets._family and picks from
-    it with isets._sparse_pick, so a family's arrays and pair index are one
-    module's business: coloring neither imports nor names the helpers that
-    enumerate, key, cap or pick a family."""
+    """A stripping call's word matrix, added-pair array, alpha bound and
+    families belong to one isets._StripSearch, so their arrays are one
+    module's business: coloring imports no numpy, and neither imports nor
+    names the helpers that pack rows, pick on the matrix, or enumerate,
+    key, cap or pick a family."""
     path = os.path.join(SRC, "chromres", "coloring.py")
     with open(path, encoding="utf-8") as f:
         tree = ast.parse(f.read(), path)
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "numpy" not in modules
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names]
     named = [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
-    helpers = {"_pair_keys", "_capped", "_sparsest", "_enumerate_sets"}
+    helpers = {"_pair_keys", "_capped", "_sparsest", "_enumerate_sets", "np", "_bits", "_words",
+               "_WIDE_PICK", "_turan", "_family", "_sparse_pick"}
     assert not helpers & set(imported + named), sorted(helpers & set(imported + named))
 
 

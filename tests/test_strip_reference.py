@@ -39,7 +39,7 @@ from chromres import (
     strip_color,
     uniform_family,
 )
-from chromres import coloring, isets
+from chromres import isets
 from conftest import (
     coverage_reference,
     sparse_iset_reference,
@@ -113,10 +113,12 @@ def test_strip_color_takes_matrix_picks_and_skips_sizing_extracts(monkeypatch):
     g = generate_gnp(GnpParams(n, p, 5))
     added = plant_clique(g, range(math.ceil(n / (math.log(n * p) / math.log(1 / (1 - p))))))
     packed, sizing = [], []
-    words, turan = isets._words, coloring._turan
-    monkeypatch.setattr(isets, "_words", lambda bits: packed.append(bits) or words(bits))
-    monkeypatch.setattr(coloring, "_turan",
-                        lambda *args: sizing.append(args[1]) or turan(*args))
+    words, turan = isets._words, isets._StripSearch.turan
+    # a pick packs its one mask; the call's matrix build packs all n rows
+    monkeypatch.setattr(isets, "_words",
+                        lambda bits: (len(bits) == 1 and packed.append(bits)) or words(bits))
+    monkeypatch.setattr(isets._StripSearch, "turan",
+                        lambda self, within: sizing.append(within) or turan(self, within))
     col, trace = strip_color(g, added, 1.0, build_profile(n, p, 1.0))
     assert packed, "no sizing extract picked on the word matrix"
     assert len(sizing) < len(trace.rounds), "every round ran its sizing extract"
@@ -131,8 +133,14 @@ def test_word_matrix_is_built_only_when_a_pick_can_use_it(monkeypatch):
     g = generate_gnp(GnpParams(n, p, 3))
     added = plant_clique(g, range(10))
     built = []
-    words = coloring._words
-    monkeypatch.setattr(coloring, "_words", lambda bits: built.append(bits) or words(bits))
+    words = isets._words
+
+    def spy(bits):
+        if len(bits) == n:  # the matrix of all n rows; a wide pick packs its one mask
+            built.append(bits)
+        return words(bits)
+
+    monkeypatch.setattr(isets, "_words", spy)
     plain = strip_color(g, added, 1.0, build_profile(n, p, 1.0))
     assert not built
     monkeypatch.setattr(isets, "_WIDE_PICK", 0)
